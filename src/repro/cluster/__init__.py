@@ -77,6 +77,7 @@ def preregister_cluster_metrics(registry=None) -> None:
     controller server on start and by the serving layer's
     pre-registration pass."""
     from repro.obs.metrics import REGISTRY
+    from repro.store.appendlog import LOG_COUNTERS
 
     reg = registry if registry is not None else REGISTRY
     reg.counter("cluster_leases_granted_total",
@@ -93,6 +94,8 @@ def preregister_cluster_metrics(registry=None) -> None:
                 "trials that exhausted their retry budget").inc(0)
     reg.counter("cluster_heartbeats_total",
                 "worker heartbeats received").inc(0)
+    for suffix, help_text in LOG_COUNTERS.items():
+        reg.counter(f"cluster_journal_{suffix}_total", help_text).inc(0)
     reg.gauge("cluster_workers_live",
               "workers heard from within one lease TTL").set(0)
     reg.gauge("cluster_points_remaining",

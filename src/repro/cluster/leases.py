@@ -13,8 +13,9 @@ lease lifecycle (``plan`` / ``grant`` / ``complete`` / ``expire`` /
 restart the controller replays the journal, and every task offset a
 ``complete`` event covers is skipped — workers' WAL records are the
 ground truth for result bytes, the journal only restores scheduling
-state.  Torn tails (a controller killed mid-append) are tolerated by
-construction: an unterminated or unparsable final line is ignored.
+state.  The journal is an :class:`repro.store.appendlog.AppendLog`: a
+torn tail left by a controller killed mid-append is repaired on open,
+so the first event appended after a restart survives the next resume.
 A ``plan`` event resets replay state, so one journal file can serve
 many runs over the same output directory; replay honors only the last
 plan and the events after it.
@@ -22,13 +23,12 @@ plan and the events after it.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.explore.objectives import ObjectiveSchema
 from repro.explore.space import DesignSpace, Dimension
+from repro.store.appendlog import AppendLog
 
 #: bump when the journal event layout changes incompatibly.
 JOURNAL_SCHEMA_VERSION = 1
@@ -140,39 +140,16 @@ class JournalState:
         return done
 
 
-class LeaseJournal:
-    """Append-only JSONL lifecycle journal (crash-tolerant)."""
+class LeaseJournal(AppendLog):
+    """Append-only JSONL lifecycle journal (an :class:`AppendLog`)."""
+
+    metric_prefix = "cluster_journal"
 
     def __init__(self, path: str) -> None:
-        self.path = path
-        self.skipped_lines = 0
+        super().__init__(path)
         self._events: List[Dict[str, Any]] = []
-        if os.path.exists(path):
-            self._load()
-
-    def _load(self) -> None:
-        try:
-            with open(self.path, "rb") as fh:
-                data = fh.read()
-        except OSError:
-            return
-        if data and not data.endswith(b"\n"):
-            # torn tail: the writer died mid-append.  Journal events are
-            # advisory scheduling state, so the partial line is simply
-            # ignored (unlike the result WAL, nothing needs repair).
-            data, _, _ = data.rpartition(b"\n")
-            self.skipped_lines += 1
-        for raw in data.splitlines():
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                event = json.loads(raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                self.skipped_lines += 1
-                continue
-            if (not isinstance(event, dict)
-                    or event.get("schema") != JOURNAL_SCHEMA_VERSION
+        for event in self._read_log():
+            if (event.get("schema") != JOURNAL_SCHEMA_VERSION
                     or "event" not in event):
                 self.skipped_lines += 1
                 continue
@@ -182,20 +159,13 @@ class LeaseJournal:
         return list(self._events)
 
     def append(self, event: Dict[str, Any]) -> None:
-        """Record one lifecycle event (flushed, line-atomic append)."""
+        """Record one lifecycle event (one line-atomic append).  A failed
+        write is counted, not raised: losing an event only costs
+        re-running an already-idempotent lease on resume."""
         payload = dict(event)
         payload["schema"] = JOURNAL_SCHEMA_VERSION
         self._events.append(payload)
-        try:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(payload, sort_keys=True,
-                                    separators=(",", ":")))
-                fh.write("\n")
-                fh.flush()
-        except OSError:
-            # journal persistence is best-effort: losing an event only
-            # costs re-running an already-idempotent lease on resume.
-            pass
+        self._append_log([payload])
 
     # ------------------------------------------------------------------
     def replay(self) -> JournalState:

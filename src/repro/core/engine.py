@@ -307,71 +307,6 @@ def result_from_dict(payload: Mapping[str, Any]) -> ExecutionResult:
 # caches
 # ----------------------------------------------------------------------
 
-class DiskCache:
-    """One JSON file per experiment under a cache directory.
-
-    Robust by construction: unreadable or corrupt entries are treated
-    as misses, and writes go through a rename so a crashed process
-    never leaves a truncated entry behind.
-    """
-
-    def __init__(self, directory: str) -> None:
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.json")
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        try:
-            with open(self._path(key), "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except ValueError:
-            # An unparsable entry is a real (if survivable) defect —
-            # count it so a rotting cache directory is visible.
-            if _OBS.metrics_on:
-                _METRICS.counter(
-                    "engine_disk_corrupt_total",
-                    "disk-cache entries dropped as unparsable").inc()
-            return None
-        except OSError:
-            return None
-        if payload.get("schema") != CACHE_SCHEMA_VERSION:
-            return None
-        return payload.get("value")
-
-    def put(self, key: str, value: Dict[str, Any]) -> None:
-        path = self._path(key)
-        tmp = f"{path}.tmp.{os.getpid()}-{threading.get_ident()}"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump({"schema": CACHE_SCHEMA_VERSION, "value": value}, fh)
-            os.replace(tmp, path)
-        except OSError:
-            # A full disk or revoked permissions silently degrades the
-            # cache to memory-only; count the drop so it is visible,
-            # mirroring the corrupt-entry counter on the read side.
-            if _OBS.metrics_on:
-                _METRICS.counter(
-                    "engine_disk_write_failed_total",
-                    "disk-cache writes dropped on OSError").inc()
-        finally:
-            # Whatever failed — OSError above, or a serialization error
-            # propagating to the caller — never leave a partial temp
-            # file behind (after a successful rename this is a no-op).
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    def delete(self, key: str) -> None:
-        """Drop one entry (per-key staleness invalidation; missing is fine)."""
-        try:
-            os.unlink(self._path(key))
-        except OSError:
-            pass
-
-
 def _unwrap_envelope(stored: Any) -> "tuple[Any, Optional[Dict[str, Any]]]":
     """Split a cache entry into (result payload, lineage block).
 

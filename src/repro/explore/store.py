@@ -12,15 +12,11 @@ A resumed search loads the file, skips every point whose key is
 present, and appends only fresh evaluations — so a killed 500-point
 sweep restarts where it stopped, and a second strategy over the same
 space reuses the first strategy's trials.  Robust by construction:
-unparsable lines and foreign-schema records are skipped (counted),
-writes are flushed line-atomic appends, and a *torn tail* — a writer
-died mid-append, leaving the file without a final newline — is
-repaired on load: a parseable tail is completed (counted recovered),
-an unparsable one truncated away (counted dropped), and the file is
-rewritten newline-terminated either way so the next append can never
-concatenate onto the torn record.  Both outcomes surface as obs
-counters (``explore_store_tail_recovered_total`` /
-``explore_store_lines_dropped_total``).
+the file is an :class:`repro.store.appendlog.AppendLog` — each ``put``
+is one line-atomic append, a *torn tail* left by a writer that died
+mid-append is repaired on load, and unparsable lines and
+foreign-schema records are skipped (counted), with
+``explore_store_*`` obs counters (``docs/STORAGE.md``, "Append logs").
 
 Since the storage unification the JSONL file is formally a
 *write-ahead log* over the shared content-addressed store: calling
@@ -46,9 +42,8 @@ import json
 import os
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
-from repro.obs import OBS_STATE as _OBS
-from repro.obs.metrics import REGISTRY as _METRICS
 from repro.provenance import LineageStore
+from repro.store.appendlog import AppendLog, canonical_line
 
 #: bump when the record layout changes incompatibly.
 STORE_SCHEMA_VERSION = 1
@@ -62,23 +57,21 @@ def trial_key(mdesc_fingerprint: str, spec_fingerprint: str, schema_digest: str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-class ResultStore:
+class ResultStore(AppendLog):
     """A dict of trial records backed (optionally) by a WAL + segment.
 
     ``path=None`` keeps the store in memory — same API, nothing
     persisted — which is what ad-hoc searches and tests use.  With a
-    path, fresh appends land in the JSONL WAL at ``path`` and
-    :meth:`compact` folds them into the sharded segment directory at
+    path, fresh appends land in the JSONL WAL at ``path`` (an
+    :class:`~repro.store.appendlog.AppendLog`) and :meth:`compact`
+    folds them into the sharded segment directory at
     ``path + ".store"``.
     """
 
+    metric_prefix = "explore_store"
+
     def __init__(self, path: Optional[str] = None) -> None:
-        self.path = path
-        self.skipped_lines = 0
-        #: torn final line completed (parseable) on load.
-        self.recovered_tail = 0
-        #: torn final line truncated away (unparsable) on load.
-        self.dropped_tail = 0
+        super().__init__(path)
         #: records loaded from the compacted segment (vs the WAL).
         self.compacted_loaded = 0
         self._records: Dict[str, Dict[str, Any]] = {}
@@ -87,8 +80,13 @@ class ResultStore:
             LineageStore(f"{path}.lineage") if path is not None else None)
         if path is not None:
             self._load_segment()
-            if os.path.exists(path):
-                self._load(path)
+            for record in self._read_log():
+                if (record.get("schema") != STORE_SCHEMA_VERSION
+                        or "key" not in record):
+                    self.skipped_lines += 1
+                    continue
+                # duplicate keys: the latest append wins.
+                self._records[record["key"]] = record
 
     @property
     def segment_dir(self) -> Optional[str]:
@@ -126,82 +124,8 @@ class ResultStore:
         tier = self._segment_tier()
         for key, record in self._records.items():
             tier.put(key, record)
-        tmp = f"{self.path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "wb") as fh:
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        self.truncate()
         return len(self._records)
-
-    def _load(self, path: str) -> None:
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except OSError:
-            # an unreadable store behaves as empty; the search still runs.
-            return
-        if data and not data.endswith(b"\n"):
-            data = self._recover_tail(path, data)
-        for raw in data.splitlines():
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                self.skipped_lines += 1
-                continue
-            if (not isinstance(record, dict)
-                    or record.get("schema") != STORE_SCHEMA_VERSION
-                    or "key" not in record):
-                self.skipped_lines += 1
-                continue
-            # duplicate keys: the latest append wins.
-            self._records[record["key"]] = record
-
-    def _recover_tail(self, path: str, data: bytes) -> bytes:
-        """Repair a file whose writer died mid-append (no final newline)."""
-        head, _, tail = data.rpartition(b"\n")
-        keep = head + b"\n" if head else b""
-        try:
-            record = json.loads(tail.decode("utf-8"))
-            usable = isinstance(record, dict)
-        except (ValueError, UnicodeDecodeError):
-            usable = False
-        if usable:
-            self.recovered_tail += 1
-            self._count("explore_store_tail_recovered_total",
-                        "torn store tails completed on load")
-            repaired = keep + tail + b"\n"
-        else:
-            self.dropped_tail += 1
-            self._count("explore_store_lines_dropped_total",
-                        "torn store tails truncated away on load")
-            repaired = keep
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(repaired)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-        return repaired
-
-    @staticmethod
-    def _count(name: str, help_text: str) -> None:
-        if _OBS.metrics_on:
-            _METRICS.counter(name, help_text).inc()
 
     # -- mapping view ---------------------------------------------------
     def __len__(self) -> int:
@@ -225,17 +149,8 @@ class ResultStore:
         payload["schema"] = STORE_SCHEMA_VERSION
         payload["key"] = key
         self._records[key] = payload
-        if self.path is None:
-            return
-        try:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-                fh.write("\n")
-                fh.flush()
-        except OSError:
-            # persistence is best-effort; the in-memory search proceeds.
-            self._count("explore_store_write_failed_total",
-                        "store appends dropped on OSError")
+        if self.path is not None:
+            self._append_log([payload])
 
     # -- convenience ----------------------------------------------------
     def records_for_schema(self, schema_digest: str) -> List[Dict[str, Any]]:
@@ -259,8 +174,8 @@ class ResultStore:
 
 def canonical_record_bytes(record: Dict[str, Any]) -> str:
     """The one serialization every store writer produces for a record
-    (sorted keys, compact separators) — the unit of bit-identity."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    (the WAL's line format) — the unit of bit-identity."""
+    return canonical_line(record)
 
 
 def merge_result_stores(

@@ -71,8 +71,8 @@ def safe_write_text(path: str, text: str, fmt: str = "chrome",
     """Atomically write ``text`` to ``path``; returns the path.
 
     Refuses to overwrite a file that does not look like a previous
-    export unless ``force`` is set — mirroring the engine's disk-cache
-    discipline (temp file + :func:`os.replace` in the same directory).
+    export unless ``force`` is set.  The write goes through a temp file
+    and :func:`os.replace` in the same directory.
     """
     if os.path.isdir(path):
         raise ExportPathError(f"refusing to write trace over directory {path!r}")

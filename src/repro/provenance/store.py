@@ -4,11 +4,9 @@
 sidecar (one record per line, last-append-wins on merge) written next
 to whatever artifact store it annotates — ``lineage.jsonl`` inside an
 engine disk-cache directory, ``<store>.lineage`` beside an explore
-``ResultStore``.  Loads are crash-safe: a torn final line (a process
-died mid-append) is either completed (parseable tail → the missing
-newline is restored) or truncated away (unparsable tail → dropped),
-with both outcomes counted in obs metrics, so a crashed writer can
-never corrupt the next append.
+``ResultStore``.  It is a :class:`repro.store.appendlog.AppendLog`, so
+a torn final line left by a crashed writer is repaired on load and can
+never corrupt the next append (``docs/STORAGE.md``, "Append logs").
 
 :class:`Recorder` is the in-process half: a bounded, thread-safe map
 of the records produced this process, plus thread-local *collection
@@ -20,94 +18,31 @@ HTTP request actually touched (including cache hits).
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
-from repro.obs import OBS_STATE as _OBS
-from repro.obs.metrics import REGISTRY as _METRICS
 from repro.provenance.graph import LineageGraph, LineageRecord
+from repro.store.appendlog import AppendLog
 
 
-class LineageStore:
-    """Append-only JSONL of lineage records with torn-tail recovery."""
+class LineageStore(AppendLog):
+    """Append-only JSONL of lineage records (an :class:`AppendLog`)."""
 
-    def __init__(self, path: str, fsync: bool = False) -> None:
-        self.path = path
-        self.fsync = fsync
-        #: torn final lines completed (parseable) on load.
-        self.recovered_tail = 0
-        #: torn final lines dropped (unparsable) on load.
-        self.dropped_tail = 0
-        #: interior lines skipped as garbage on load.
-        self.skipped_lines = 0
+    metric_prefix = "provenance_store"
+
+    def __init__(self, path: str) -> None:
+        super().__init__(path)
         self._lock = threading.Lock()
         self._records: "OrderedDict[str, LineageRecord]" = OrderedDict()
-        self._load()
-
-    # -- loading --------------------------------------------------------
-    def _load(self) -> None:
-        try:
-            with open(self.path, "rb") as fh:
-                data = fh.read()
-        except OSError:
-            return
-        if data and not data.endswith(b"\n"):
-            data = self._recover_tail(data)
-        for line in data.splitlines():
-            line = line.strip()
-            if not line:
-                continue
+        for payload in self._read_log():
             try:
-                payload = json.loads(line.decode("utf-8"))
                 record = LineageRecord.from_dict(payload)
-            except (ValueError, UnicodeDecodeError):
+            except ValueError:
                 self.skipped_lines += 1
                 continue
             self._merge(record)
-
-    def _recover_tail(self, data: bytes) -> bytes:
-        """Handle a file that does not end in a newline: a writer died
-        mid-append.  Complete the line if it parses, drop it if not;
-        either way the file on disk is left newline-terminated so the
-        next append cannot concatenate onto a torn record."""
-        head, _, tail = data.rpartition(b"\n")
-        keep = head + b"\n" if head else b""
-        try:
-            json.loads(tail.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            self.dropped_tail += 1
-            self._count("provenance_store_lines_dropped_total")
-            self._rewrite(keep)
-            return keep
-        self.recovered_tail += 1
-        self._count("provenance_store_tail_recovered_total")
-        repaired = keep + tail + b"\n"
-        self._rewrite(repaired)
-        return repaired
-
-    def _rewrite(self, data: bytes) -> None:
-        tmp = f"{self.path}.tmp.{os.getpid()}-{threading.get_ident()}"
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(data)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    @staticmethod
-    def _count(name: str) -> None:
-        if _OBS.metrics_on:
-            _METRICS.counter(
-                name, "lineage-store crash-recovery events on load").inc()
 
     # -- writing --------------------------------------------------------
     def _merge(self, record: LineageRecord) -> "tuple[LineageRecord, bool]":
@@ -125,24 +60,11 @@ class LineageStore:
         writes nothing (idempotent re-recording stays O(0) on disk)."""
         with self._lock:
             merged, changed = self._merge(record)
-            if not changed:
-                return
-            line = json.dumps(merged.to_dict(), sort_keys=True,
-                              separators=(",", ":"))
-            try:
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(line + "\n")
-                    fh.flush()
-                    if self.fsync:
-                        os.fsync(fh.fileno())
-            except OSError:
-                if _OBS.metrics_on:
-                    _METRICS.counter(
-                        "provenance_store_write_failed_total",
-                        "lineage-store appends dropped on OSError").inc()
+            if changed:
+                self._append_log([merged.to_dict()])
 
     def append_many(self, records: "list[LineageRecord]") -> None:
-        """Merge and persist a batch under one file open — callers with
+        """Merge and persist a batch in one append — callers with
         several records per event (a whole collect scope, a worker's
         payload) pay one append, not one per record."""
         with self._lock:
@@ -150,22 +72,9 @@ class LineageStore:
             for record in records:
                 merged, changed = self._merge(record)
                 if changed:
-                    lines.append(json.dumps(
-                        merged.to_dict(), sort_keys=True,
-                        separators=(",", ":")))
-            if not lines:
-                return
-            try:
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write("".join(line + "\n" for line in lines))
-                    fh.flush()
-                    if self.fsync:
-                        os.fsync(fh.fileno())
-            except OSError:
-                if _OBS.metrics_on:
-                    _METRICS.counter(
-                        "provenance_store_write_failed_total",
-                        "lineage-store appends dropped on OSError").inc()
+                    lines.append(merged.to_dict())
+            if lines:
+                self._append_log(lines)
 
     # -- reading --------------------------------------------------------
     def __len__(self) -> int:

@@ -130,9 +130,6 @@ class ServeApp:
         _METRICS.counter(
             "engine_compiled_runs_total",
             "cold executions served by the compiled path").inc(0)
-        _METRICS.counter(
-            "engine_disk_write_failed_total",
-            "disk-cache writes dropped on OSError").inc(0)
         fallbacks = _METRICS.counter(
             "engine_compiled_fallbacks_total",
             "cold executions that fell back from the compiled path "

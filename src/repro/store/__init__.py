@@ -5,10 +5,12 @@ One tier protocol — :class:`MemoryTier` (private per-process LRU),
 :class:`StoreStack` with read-through/write-back promotion and
 cross-process single-flight (:class:`DigestLock`).  The engine cache,
 the explore result store's compacted segment, serving workers, and the
-provenance walkers all sit on this one layer; ``docs/STORAGE.md`` is
-the design note.
+provenance walkers all sit on this one layer; the explore WAL, the
+lineage sidecars and the cluster lease journal share one crash-safe
+JSONL :class:`AppendLog`.  ``docs/STORAGE.md`` is the design note.
 """
 
+from repro.store.appendlog import AppendLog
 from repro.store.locks import HAVE_FLOCK, DigestLock
 from repro.store.maintenance import (
     gc_store,
@@ -34,6 +36,7 @@ from repro.store.tiers import (
 )
 
 __all__ = [
+    "AppendLog",
     "HAVE_FLOCK",
     "DigestLock",
     "LOCK_ENV",

@@ -201,7 +201,10 @@ def test_cluster_metrics_preregistered_at_zero():
                  "cluster_leases_stolen_total",
                  "cluster_trials_retried_total",
                  "cluster_trials_failed_total",
-                 "cluster_heartbeats_total"):
+                 "cluster_heartbeats_total",
+                 "cluster_journal_tail_recovered_total",
+                 "cluster_journal_lines_dropped_total",
+                 "cluster_journal_write_failed_total"):
         assert snapshot[name]["kind"] == "counter", name
         assert sum(snapshot[name]["cells"].values()) == 0, name
     for name in ("cluster_workers_live", "cluster_points_remaining"):

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arch.registry import get_arch
 from repro.core.engine import (
-    DiskCache,
     ExperimentEngine,
     LRUCache,
     experiment_key,
@@ -179,17 +178,6 @@ def test_lru_cache_evicts_least_recently_used():
     assert lru.get("a") == 1 and lru.get("c") == 3
     with pytest.raises(ValueError):
         LRUCache(maxsize=0)
-
-
-def test_disk_cache_round_trip_and_corruption(tmp_path):
-    disk = DiskCache(str(tmp_path))
-    payload = {"x": 1, "nested": {"y": [1, 2]}}
-    disk.put("k", payload)
-    assert disk.get("k") == payload
-    assert disk.get("missing") is None
-    # corrupt entries degrade to a miss, not an exception
-    (tmp_path / "bad.json").write_text("{not json")
-    assert disk.get("bad") is None
 
 
 def test_engine_disk_cache_shared_between_engines(tmp_path):

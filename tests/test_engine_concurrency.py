@@ -14,13 +14,14 @@ from concurrent.futures import ThreadPoolExecutor
 from repro import obs
 from repro.arch import get_arch
 from repro.core.engine import (
-    DiskCache,
+    CACHE_SCHEMA_VERSION,
     ExperimentEngine,
     LRUCache,
     result_to_dict,
 )
 from repro.kernel.handlers import handler_program
 from repro.kernel.primitives import Primitive
+from repro.store import DiskTier
 
 ARCH_NAMES = ("cvax", "r2000", "r3000", "sparc", "i860", "m88000")
 
@@ -130,7 +131,7 @@ def test_memo_concurrent_callers_observe_one_value():
 
 
 def test_disk_cache_write_failure_is_counted_not_raised(tmp_path, monkeypatch):
-    cache = DiskCache(str(tmp_path / "cache"))
+    cache = DiskTier(str(tmp_path / "cache"), schema=CACHE_SCHEMA_VERSION)
 
     def broken_replace(src, dst):
         raise OSError("disk full")
@@ -139,16 +140,16 @@ def test_disk_cache_write_failure_is_counted_not_raised(tmp_path, monkeypatch):
     with obs.capture(enable_spans=False) as capture:
         cache.put("somekey", {"x": 1})  # must not raise
         window = capture.metrics()
-    cells = window["metrics"]["engine_disk_write_failed_total"]["cells"]
+    cells = window["metrics"]["store_write_failed_total"]["cells"]
     assert sum(cells.values()) == 1
     monkeypatch.undo()
     assert cache.get("somekey") is None  # nothing half-written
-    assert not list((tmp_path / "cache").glob("*.tmp*")), (
+    assert not list((tmp_path / "cache").rglob("*.tmp*")), (
         "failed write left a temp file behind")
 
 
 def test_disk_cache_concurrent_puts_same_key(tmp_path):
-    cache = DiskCache(str(tmp_path / "cache"))
+    cache = DiskTier(str(tmp_path / "cache"), schema=CACHE_SCHEMA_VERSION)
 
     def body(tid, i):
         cache.put("shared", {"payload": "identical"})

@@ -215,7 +215,7 @@ def test_metrics_expose_preregistered_zero_counters():
     for reason in ("observer", "opclass", "fractional_cost",
                    "fractional_write_buffer"):
         assert series(f'engine_compiled_fallbacks_total{{reason="{reason}"}}')
-    assert series("engine_disk_write_failed_total")
+    assert series("store_write_failed_total")
     assert series("engine_compiled_runs_total")
     assert series('provenance_unknown_lineage_total{layer="engine"}')
     assert series("provenance_stale_results_total")

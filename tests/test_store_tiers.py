@@ -4,8 +4,8 @@ Single-process coverage of :mod:`repro.store` (the two-process
 guarantees live in ``test_store_singleflight.py``): sharded layout and
 legacy fallback, atomic writes that never leave temp files, quarantine
 on torn entries, read-through/write-back promotion with per-tier
-counters, and the engine's temp-file hygiene regression (a failed
-write — OSError *or* serialization error — leaves nothing behind).
+counters, and the temp-file hygiene regression (a failed write —
+OSError *or* serialization error — leaves nothing behind).
 """
 
 import glob
@@ -50,18 +50,16 @@ def test_disk_tier_shards_by_digest_prefix(tmp_path):
 
 
 def test_disk_tier_entry_bytes_match_legacy_disk_cache(tmp_path):
-    """The sharded entry is byte-identical to what the engine's flat
-    DiskCache wrote — lineage envelopes survive the refactor."""
-    from repro.core.engine import CACHE_SCHEMA_VERSION, DiskCache
+    """The sharded entry is byte-identical to what the engine's flat-era
+    disk cache wrote (default ``json.dumps`` of the schema envelope) —
+    lineage envelopes survive the refactor."""
+    from repro.core.engine import CACHE_SCHEMA_VERSION
 
     value = {"value": {"cycles": 7}, "lineage": {"key": KEY, "spec_fp": "s"}}
-    DiskCache(str(tmp_path / "flat")).put(KEY, value)
-    DiskTier(str(tmp_path / "sharded"),
-             schema=CACHE_SCHEMA_VERSION).put(KEY, value)
-    flat = open(tmp_path / "flat" / f"{KEY}.json", "rb").read()
-    sharded = open(
-        tmp_path / "sharded" / "objects" / "ab" / f"{KEY}.json", "rb").read()
-    assert flat == sharded
+    DiskTier(str(tmp_path), schema=CACHE_SCHEMA_VERSION).put(KEY, value)
+    sharded = (tmp_path / "objects" / "ab" / f"{KEY}.json").read_bytes()
+    flat = json.dumps({"schema": CACHE_SCHEMA_VERSION, "value": value})
+    assert sharded == flat.encode("utf-8")
 
 
 def test_disk_tier_reads_flat_legacy_entries(tmp_path):
@@ -116,22 +114,6 @@ def test_disk_tier_serialization_failure_leaves_no_temp_file(tmp_path):
 
 def _raise_oserror(*_args, **_kwargs):
     raise OSError("disk full")
-
-
-# ----------------------------------------------------------------------
-# the engine's legacy DiskCache: same hygiene (regression)
-# ----------------------------------------------------------------------
-
-def test_disk_cache_serialization_failure_leaves_no_temp_file(tmp_path):
-    """Regression: a non-OSError failure (unserializable value) used to
-    leave a partial ``*.tmp.*`` file behind."""
-    from repro.core.engine import DiskCache
-
-    cache = DiskCache(str(tmp_path))
-    with pytest.raises(TypeError):
-        cache.put(KEY, {"bad": object()})
-    assert no_tmp_files(str(tmp_path))
-    assert cache.get(KEY) is None
 
 
 # ----------------------------------------------------------------------
