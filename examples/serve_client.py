@@ -20,7 +20,7 @@ from repro.serve import HttpClient, HttpServer, ServeConfig
 
 async def main() -> None:
     # --- start a server on an ephemeral port ---------------------------
-    config = ServeConfig(port=0, batch_window_ms=20.0, max_pending=16)
+    config = ServeConfig(port=0, max_pending=16)
     server = HttpServer(config=config)
     host, port = await server.start()
     print(f"serving on http://{host}:{port}")

@@ -649,7 +649,6 @@ def _serve_config(args: argparse.Namespace):
         host=args.host,
         port=args.port,
         max_pending=args.max_pending,
-        batch_window_ms=args.batch_window_ms,
         max_batch=args.max_batch,
         workers=args.workers,
         default_deadline_ms=args.deadline_ms,
@@ -1275,12 +1274,10 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="N",
                            help="admission-control bound; past it requests "
                            "shed with 429 (default: 64)")
-    serve_run.add_argument("--batch-window-ms", type=float, default=2.0,
-                           metavar="MS",
-                           help="micro-batch collection window (default: 2)")
     serve_run.add_argument("--max-batch", type=_positive_int, default=16,
                            metavar="N",
-                           help="flush a batch early at this size (default: 16)")
+                           help="most requests one event-loop turn groups "
+                           "into a dispatch (default: 16)")
     serve_run.add_argument("--workers", type=_positive_int, default=2,
                            metavar="N",
                            help="executor threads running batches (default: 2)")

@@ -407,10 +407,11 @@ class SweepRunner:
 # the engine
 # ----------------------------------------------------------------------
 
-#: (key, program, request-id, cached, path, fallback, result-digest) ->
-#: the four-record lineage chain.  Chains are pure functions of that
-#: tuple, so re-runs across engines reuse the same record objects and
-#: the recorder's identity fast path makes re-recording near-free.
+#: (key, program, producing request-id, path, fallback, result-digest)
+#: -> the four-record lineage chain.  Chains are pure functions of the
+#: entry's lineage block, so every sighting of one entry — whichever
+#: request it serves — reuses the same record objects, and the
+#: recorder's identity fast path makes re-recording near-free.
 _CHAIN_MEMO: "OrderedDict[tuple, tuple]" = OrderedDict()
 _CHAIN_MEMO_CAPACITY = 4096
 _CHAIN_MEMO_LOCK = threading.Lock()
@@ -723,12 +724,14 @@ class ExperimentEngine:
         :func:`repro.provenance.replay.adopt_disk_cache` re-derives it
         on load, so sinking it again would double-write every cold run.
         The record describes how the result was *produced*
-        (``engine_path`` from the block), never how this sighting was
-        served — cached sightings are visible in metrics and spans, and
-        keeping the record content sighting-independent lets every hit
-        reuse the memoized chain object unchanged.
+        (``engine_path`` and ``request_id`` from the block), never how
+        this sighting was served — cached sightings are visible in
+        metrics and spans, a served request names the record from its
+        own ``serve_request`` record, and keeping the record content
+        sighting-independent lets every hit reuse the memoized chain
+        object unchanged.
         """
-        rid = get_request_id()
+        rid = block.get("request_id")
         memo_key = (str(block["key"]), program.name, rid,
                     block.get("engine_path"), block.get("fallback_reason"),
                     block.get("result_digest"))
@@ -935,7 +938,10 @@ class ExperimentEngine:
 
     def _record_replay(self, tlb_spec: TLBSpec, config_canonical: Any,
                        block: Mapping[str, Any]) -> None:
-        rid = get_request_id()
+        """Record the tlb → replay chain described by ``block``; like
+        :meth:`_record_execution`, keyed and stamped by the request that
+        produced the entry, so every sighting reuses one chain."""
+        rid = block.get("request_id")
         memo_key = (block["key"], rid, block.get("result_digest"))
         records = _CHAIN_MEMO.get(memo_key)
         if records is not None:

@@ -192,7 +192,11 @@ class Recorder:
         registry already holds these exact objects, so the only work a
         new sighting creates is making them visible to whatever scope
         (table render, serve flight) is currently collecting — a
-        lock-free, thread-local operation.
+        lock-free, thread-local operation.  The registry is bounded,
+        though: once newer records have evicted any part of the chain,
+        the sighting re-registers the whole chain (:meth:`record_chain`)
+        so that what a scope collects — a served request's roots, say —
+        still resolves in :meth:`get`.
 
         ``records`` must be a derivation chain whose *last* element's
         digest uniquely identifies the whole chain (the engine's chains
@@ -203,6 +207,14 @@ class Recorder:
         bucket — every consumer merges by digest, and derived-kind
         digests stay unique because they are the dedup key.
         """
+        # Lock-free probes: a membership test is atomic under the GIL,
+        # and a record evicted just after it is no worse off than one
+        # evicted just after a locked re-registration.
+        registered = self._records
+        for record in records:
+            if record.digest not in registered:
+                self.record_chain(records)
+                return
         stack = self._scopes.stack
         if not stack:
             return

@@ -11,8 +11,9 @@ The serving disciplines are the point (see ``docs/SERVING.md``):
 
 * **request coalescing** (:mod:`~repro.serve.coalesce`) — identical
   concurrent requests share one engine execution;
-* **micro-batching** (:mod:`~repro.serve.batching`) — compatible
-  requests dispatch as one :meth:`SweepRunner.map` call;
+* **micro-batching** (:mod:`~repro.serve.batching`) — requests for
+  one endpoint admitted in the same event-loop turn dispatch as one
+  :meth:`SweepRunner.map` call, with no timer in between;
 * **admission control** (:mod:`~repro.serve.admission`) — a bounded
   queue that sheds with typed 429/503 replies instead of queueing
   into unbounded latency, plus per-request deadlines;

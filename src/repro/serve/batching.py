@@ -1,14 +1,15 @@
-"""Micro-batching: compatible requests share one SweepRunner.map call.
+"""Micro-batching: jobs admitted in one event-loop turn share a dispatch.
 
 Admitted jobs do not dispatch one by one: per endpoint, the first
-arrival opens a short *batch window* (a few milliseconds); everything
-that lands on the same endpoint before the window closes — or before
-the batch reaches ``max_batch`` — is dispatched as one list through a
-single :meth:`repro.core.engine.SweepRunner.map` call on the worker
-pool.  Under load the window is always full, so the per-request
-dispatch overhead (executor hop, sweep setup) amortizes across the
-batch; when idle a lone request pays at most one window of added
-latency.
+arrival schedules a flush for the next turn of the event loop
+(``loop.call_soon``); every job for the same endpoint admitted before
+that flush runs — or until the batch reaches ``max_batch``, which
+flushes at once — is dispatched as one list through a single
+:meth:`repro.core.engine.SweepRunner.map` call on the worker pool.
+No job ever waits on a timer: a lone request is dispatched on the very
+next turn, and a burst that arrives together (many connections read in
+one turn, or a ``gather`` of submissions) still amortizes the executor
+hop across its batch.
 
 The batcher owns only the grouping; what a dispatched batch *does* is
 the app's callback, so this module stays free of protocol and engine
@@ -38,46 +39,32 @@ class Job:
 
 
 class MicroBatcher:
-    """Groups jobs per endpoint inside a bounded time window."""
+    """Groups the jobs admitted in one event-loop turn, per endpoint."""
 
     def __init__(self, dispatch: Callable[[List[Job]], Awaitable[None]], *,
-                 window_s: float = 0.002, max_batch: int = 16) -> None:
+                 max_batch: int = 16) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if window_s < 0:
-            raise ValueError("window_s must be >= 0")
         self._dispatch = dispatch
-        self.window_s = window_s
         self.max_batch = max_batch
         self._queues: Dict[str, List[Job]] = {}
-        self._timers: Dict[str, asyncio.Task] = {}
         self._dispatches: Set[asyncio.Task] = set()
-
-    @property
-    def queued(self) -> int:
-        return sum(len(jobs) for jobs in self._queues.values())
 
     def submit(self, job: Job) -> None:
         """Queue a job; flushes immediately when the batch fills."""
         name = job.endpoint.name
-        queue = self._queues.setdefault(name, [])
+        queue = self._queues.get(name)
+        if queue is None:
+            queue = self._queues[name] = []
+            # When an earlier group filled up and flushed at once, its
+            # scheduled flush is still pending and takes this queue
+            # instead; either way no queued job outlives the next turn.
+            asyncio.get_running_loop().call_soon(self._flush, name)
         queue.append(job)
         if len(queue) >= self.max_batch:
             self._flush(name)
-        elif name not in self._timers:
-            self._timers[name] = asyncio.get_running_loop().create_task(
-                self._flush_after_window(name))
-
-    async def _flush_after_window(self, name: str) -> None:
-        await asyncio.sleep(self.window_s)
-        # Pop ourselves first so _flush never cancels the running task.
-        self._timers.pop(name, None)
-        self._flush(name)
 
     def _flush(self, name: str) -> None:
-        timer = self._timers.pop(name, None)
-        if timer is not None:
-            timer.cancel()
         jobs = self._queues.pop(name, None)
         if not jobs:
             return
@@ -85,14 +72,10 @@ class MicroBatcher:
         self._dispatches.add(task)
         task.add_done_callback(self._dispatches.discard)
 
-    def flush_all(self) -> None:
-        """Close every open window now (drain path)."""
-        for name in list(self._queues):
-            self._flush(name)
-
     async def drain(self) -> None:
         """Flush and wait until every dispatched batch has completed."""
-        self.flush_all()
+        for name in list(self._queues):
+            self._flush(name)
         while self._dispatches:
             await asyncio.gather(*list(self._dispatches),
                                  return_exceptions=True)

@@ -28,13 +28,14 @@ import asyncio
 import json
 import math
 import random
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.serve.protocol import ENDPOINTS
-from repro.serve.server import HttpServer, ServeConfig
+from repro.serve.server import HttpServer, ServeApp, ServeConfig
 
 #: schema of BENCH_serve.json (bump on incompatible layout changes).
 BENCH_SCHEMA_VERSION = 1
@@ -308,6 +309,42 @@ def _counter_total(window: Dict[str, Any], name: str) -> float:
 
 
 # ----------------------------------------------------------------------
+# holding a burst in flight
+# ----------------------------------------------------------------------
+
+class WorkerGate:
+    """Keeps every worker thread of a :class:`ServeApp` busy until opened.
+
+    Batches dispatched meanwhile queue behind the held threads as they
+    would behind slow work, so a burst stays admitted and in flight — to
+    coalesce, to be shed, or to be drained — for exactly as long as a
+    scenario needs, with no timer to race.  Leaving the ``with`` block
+    opens the gate whatever happened inside it.
+    """
+
+    def __init__(self, app: ServeApp) -> None:
+        self._open = threading.Event()
+        # The pool's work queue is FIFO: these take every thread before
+        # any batch dispatched after them.
+        for _ in range(app.config.workers):
+            app._pool.submit(self._open.wait)
+
+    def __enter__(self) -> "WorkerGate":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self._open.set()
+
+
+async def wait_until(ready: Callable[[], bool], timeout_s: float = 10.0) -> None:
+    """Poll ``ready()`` from the event loop until it holds or time runs
+    out; callers check the outcome themselves."""
+    deadline = time.perf_counter() + timeout_s
+    while not ready() and time.perf_counter() < deadline:
+        await asyncio.sleep(0.001)
+
+
+# ----------------------------------------------------------------------
 # benchmark scenarios
 # ----------------------------------------------------------------------
 
@@ -333,8 +370,7 @@ async def _with_server(config: ServeConfig, body) -> Dict[str, Any]:
 
 async def scenario_coalesce(n: int = 8) -> Dict[str, Any]:
     """N identical concurrent requests must share one engine execution."""
-    config = ServeConfig(port=0, max_pending=n + 4, batch_window_ms=50.0,
-                         max_batch=n + 4)
+    config = ServeConfig(port=0, max_pending=n + 4, max_batch=n + 4)
 
     async def body(server: HttpServer) -> Dict[str, Any]:
         async def one() -> Reply:
@@ -344,7 +380,11 @@ async def scenario_coalesce(n: int = 8) -> Dict[str, Any]:
             finally:
                 await client.close()
 
-        replies = await asyncio.gather(*(one() for _ in range(n)))
+        flights = server.app.flights
+        with WorkerGate(server.app):
+            tasks = [asyncio.ensure_future(one()) for _ in range(n)]
+            await wait_until(lambda: flights.total_followers >= n - 1)
+        replies = await asyncio.gather(*tasks)
         payloads = [r.body for r in replies]
         return {
             "requests": n,
@@ -361,8 +401,7 @@ async def scenario_coalesce(n: int = 8) -> Dict[str, Any]:
 
 async def scenario_shed(burst: int = 12, max_pending: int = 4) -> Dict[str, Any]:
     """A burst past the admission bound sheds with typed 429s."""
-    config = ServeConfig(port=0, max_pending=max_pending,
-                         batch_window_ms=60.0, max_batch=burst)
+    config = ServeConfig(port=0, max_pending=max_pending, max_batch=burst)
 
     async def body(server: HttpServer) -> Dict[str, Any]:
         async def one(i: int) -> Reply:
@@ -373,7 +412,13 @@ async def scenario_shed(burst: int = 12, max_pending: int = 4) -> Dict[str, Any]
             finally:
                 await client.close()
 
-        replies = await asyncio.gather(*(one(i) for i in range(burst)))
+        admission = server.app.admission
+        with WorkerGate(server.app):
+            tasks = [asyncio.ensure_future(one(i)) for i in range(burst)]
+            # every request either holds a slot or has its refusal
+            await wait_until(lambda: admission.pending + sum(
+                t.done() for t in tasks) == burst)
+        replies = await asyncio.gather(*tasks)
         shed_replies = [r for r in replies if r.status == 429]
         return {
             "burst": burst,
@@ -395,9 +440,10 @@ async def scenario_shed(burst: int = 12, max_pending: int = 4) -> Dict[str, Any]
 async def scenario_drain(inflight: int = 8) -> Dict[str, Any]:
     """Graceful drain: every admitted request completes, none vanish."""
     config = ServeConfig(port=0, max_pending=inflight + 4,
-                         batch_window_ms=40.0, max_batch=inflight + 4)
+                         max_batch=inflight + 4)
     server = HttpServer(config=config)
     await server.start()
+    app = server.app
 
     async def one(i: int) -> Reply:
         client = HttpClient(server.host, server.port)
@@ -408,12 +454,15 @@ async def scenario_drain(inflight: int = 8) -> Dict[str, Any]:
             await client.close()
 
     with obs.capture(enable_spans=False):
-        tasks = [asyncio.ensure_future(one(i)) for i in range(inflight)]
-        # Let the requests reach the batch window, then pull the plug
-        # while they are still queued.
-        await asyncio.sleep(0.01)
-        pending_at_drain = server.app.admission.pending
-        await server.shutdown()
+        # Admit the whole burst, then pull the plug while it is still
+        # queued behind the held workers.
+        with WorkerGate(app):
+            tasks = [asyncio.ensure_future(one(i)) for i in range(inflight)]
+            await wait_until(lambda: app.admission.pending == inflight)
+            pending_at_drain = app.admission.pending
+            shutdown = asyncio.ensure_future(server.shutdown())
+            await wait_until(lambda: app.draining)
+        await shutdown
         replies = await asyncio.gather(*tasks)
 
     refused_connect = 0
@@ -440,8 +489,7 @@ async def scenario_load(requests: int = 64, clients: int = 4,
                         open_rate_rps: float = 300.0,
                         open_requests: int = 32) -> Dict[str, Any]:
     """Mixed closed-loop + open-loop traffic against one server."""
-    config = ServeConfig(port=0, max_pending=max(64, requests),
-                         batch_window_ms=2.0, max_batch=16)
+    config = ServeConfig(port=0, max_pending=max(64, requests), max_batch=16)
 
     async def body(server: HttpServer) -> Dict[str, Any]:
         assert server.host is not None and server.port is not None

@@ -12,13 +12,12 @@ below carries, per endpoint:
   for architecture-shaped requests, the registry fingerprint for table
   renders — so two requests that would reach the same engine
   experiments share one coalescing key;
-* a **worker**, a top-level picklable function, so a micro-batch of
-  requests can be fanned through :meth:`repro.core.engine.SweepRunner.map`
-  unchanged.
+* a **worker**, a top-level function, so a micro-batch of requests
+  runs through :meth:`repro.core.engine.SweepRunner.map` unchanged.
 
-Workers run on pool threads and return JSON-able dicts;
-:func:`execute_one` wraps a worker call into an outcome envelope so a
-single bad request inside a batch cannot take its neighbours down.
+Workers run on pool threads of the serving process and return JSON-able
+dicts; :func:`execute_one` wraps a worker call into an outcome envelope
+so a single bad request inside a batch cannot take its neighbours down.
 
 All endpoints accept an optional ``nonce`` parameter: it participates
 in the coalescing key but not in the computation, which lets load
@@ -329,21 +328,20 @@ def execute_one(item: "Tuple[str, Dict[str, Any]]") -> Dict[str, Any]:
 
     The envelope — ``{"ok": True, "value": ...}`` or ``{"ok": False,
     "status"/"code"/"message": ...}`` — keeps per-item failures from
-    poisoning the rest of a :meth:`SweepRunner.map` batch, and is
-    picklable for the parallel path.
+    poisoning the rest of a :meth:`SweepRunner.map` batch.
 
     ``run_in_executor`` does not propagate :mod:`contextvars` into pool
-    threads (and the parallel sweep hops processes), so the request id
-    rides on the item itself; the worker re-enters it before touching
-    the engine, and the provenance records collected during the call
-    ship back on the envelope (``lineage`` payload + the digests of the
-    derived-work roots) for the event-loop side to merge and correlate.
+    threads, so the request id rides on the item itself; the worker
+    re-enters it before touching the engine.  The pool thread shares
+    the serving process, so the lineage it produces is already in the
+    process-wide recorder; with provenance on, the envelope adds only
+    ``roots``, the digests of the derived work the call touched, for
+    the request's ``serve_request`` record to name.
     """
     from repro.provenance import (
         DERIVED_KINDS,
         PROV_STATE,
         PROVENANCE,
-        lineage_payload,
         reset_request_id,
         set_request_id,
     )
@@ -363,7 +361,6 @@ def execute_one(item: "Tuple[str, Dict[str, Any]]") -> Dict[str, Any]:
             with PROVENANCE.collect() as records:
                 value = endpoint.worker(params)
             return {"ok": True, "value": value,
-                    "lineage": lineage_payload(records),
                     "roots": [r.digest for r in records
                               if r.kind in DERIVED_KINDS]}
         return {"ok": True, "value": endpoint.worker(params)}

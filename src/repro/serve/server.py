@@ -5,13 +5,17 @@ Two layers:
 * :class:`ServeApp` — the transport-free serving core.  ``await
   app.submit(endpoint, params)`` runs the full discipline pipeline:
   validate → coalesce (:mod:`~repro.serve.coalesce`) → admit
-  (:mod:`~repro.serve.admission`) → micro-batch
-  (:mod:`~repro.serve.batching`) → execute on a thread pool through
-  one shared, thread-safe :class:`~repro.core.engine.ExperimentEngine`
-  via :meth:`SweepRunner.map`.  Tests and the load generator drive it
-  directly; every discipline is observable through ``repro.obs``
-  (per-endpoint latency histograms, queue-depth gauge,
-  coalesce/batch/shed/deadline counters, one span per request).
+  (:mod:`~repro.serve.admission`) → group with the jobs admitted in
+  the same event-loop turn (:mod:`~repro.serve.batching`) → execute on
+  a thread pool through one shared, thread-safe
+  :class:`~repro.core.engine.ExperimentEngine` via
+  :meth:`SweepRunner.map`.  Pool threads record lineage straight into
+  the process-wide recorder; a reply carries only the digests of the
+  derived work it touched, which the request's ``serve_request``
+  record links to.  Tests and the load generator drive it directly;
+  every discipline is observable through ``repro.obs`` (per-endpoint
+  latency histograms, queue-depth gauge, coalesce/batch/shed/deadline
+  counters, one span per request).
 * :class:`HttpServer` — a minimal JSON-over-HTTP/1.1 front end on
   ``asyncio.start_server`` (stdlib only, keep-alive supported) that
   maps routes to endpoints, plus ``GET /healthz`` and ``GET /metrics``
@@ -43,7 +47,6 @@ from repro.provenance import (
     LineageRecord,
     clean_request_id,
     digest_of,
-    merge_lineage_payload,
     new_request_id,
     reset_request_id,
     set_request_id,
@@ -75,15 +78,10 @@ class ServeConfig:
     max_pending: int = 64
     #: 429 Retry-After hint handed to shed clients.
     retry_after_s: float = 0.05
-    #: micro-batch window in milliseconds (0 = coalesce same-tick only).
-    batch_window_ms: float = 2.0
-    #: flush a batch early once it reaches this many jobs.
+    #: most jobs one event-loop turn groups into a single dispatch.
     max_batch: int = 16
     #: executor threads running SweepRunner batches.
     workers: int = 2
-    #: fan batch items across worker processes inside each map call
-    #: (SweepRunner semantics: silently degrades to serial).
-    parallel_sweep: bool = False
     #: deadline applied when a request does not carry its own (None = no deadline).
     default_deadline_ms: Optional[float] = None
 
@@ -97,12 +95,10 @@ class ServeApp:
         self.admission = AdmissionController(
             self.config.max_pending, retry_after_s=self.config.retry_after_s)
         self.batcher = MicroBatcher(
-            self._dispatch_batch,
-            window_s=self.config.batch_window_ms / 1e3,
-            max_batch=self.config.max_batch)
+            self._dispatch_batch, max_batch=self.config.max_batch)
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.workers, thread_name_prefix="serve-worker")
-        self._sweep = SweepRunner(parallel=self.config.parallel_sweep)
+        self._sweep = SweepRunner(parallel=False)
         #: perf_counter origin for request spans (serve-local timeline).
         self._epoch = time.perf_counter()
         self._closed = False
@@ -321,13 +317,10 @@ class ServeApp:
                             "unique engine-backed executions performed",
                             endpoint=job.endpoint.name)
                 if _PROV.enabled:
-                    # Fold the worker's collected records into this
-                    # process and remember the flight's derived-work
-                    # roots before the future resolves, so awaiting
-                    # submitters find them in _record_request.
-                    merge_lineage_payload(outcome.get("lineage"))
-                    self._stash_roots(job.key, tuple(
-                        str(r) for r in outcome.get("roots") or ()))
+                    # Remember the flight's derived-work roots before
+                    # the future resolves, so awaiting submitters find
+                    # them in _record_request.
+                    self._stash_roots(job.key, tuple(outcome.get("roots", ())))
                 self._complete(job, result=outcome["value"])
             else:
                 self._complete(job, error=ServeError(

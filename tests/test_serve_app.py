@@ -11,6 +11,7 @@ import pytest
 
 from repro import obs
 from repro.serve import ServeApp, ServeConfig, ServeError
+from repro.serve.loadgen import WorkerGate, wait_until
 
 
 def run(coro):
@@ -30,11 +31,14 @@ async def closed(app, body):
 
 
 def test_identical_concurrent_requests_coalesce_to_one_execution():
-    app = ServeApp(ServeConfig(batch_window_ms=30.0, max_pending=16))
+    app = ServeApp(ServeConfig(max_pending=16))
 
     async def body(app):
-        return await asyncio.gather(
-            *(app.submit("measure", {"arch": "r3000"}) for _ in range(6)))
+        with WorkerGate(app):
+            tasks = [asyncio.ensure_future(
+                app.submit("measure", {"arch": "r3000"})) for _ in range(6)]
+            await wait_until(lambda: app.flights.total_followers == 5)
+        return await asyncio.gather(*tasks)
 
     with obs.capture(enable_spans=False) as capture:
         results = run(closed(app, body))
@@ -48,7 +52,7 @@ def test_identical_concurrent_requests_coalesce_to_one_execution():
 
 
 def test_distinct_requests_do_not_coalesce():
-    app = ServeApp(ServeConfig(batch_window_ms=10.0, max_pending=16))
+    app = ServeApp(ServeConfig(max_pending=16))
 
     async def body(app):
         return await asyncio.gather(
@@ -64,8 +68,7 @@ def test_distinct_requests_do_not_coalesce():
 
 
 def test_batch_collects_compatible_requests_into_one_dispatch():
-    app = ServeApp(ServeConfig(batch_window_ms=30.0, max_batch=8,
-                               max_pending=16))
+    app = ServeApp(ServeConfig(max_batch=8, max_pending=16))
 
     async def body(app):
         return await asyncio.gather(
@@ -80,23 +83,26 @@ def test_batch_collects_compatible_requests_into_one_dispatch():
     assert counter_total(window, "serve_executions_total") == 4
 
 
-def test_full_batch_flushes_before_the_window():
-    app = ServeApp(ServeConfig(batch_window_ms=10_000.0, max_batch=2,
-                               max_pending=16))
+def test_same_turn_requests_split_at_max_batch():
+    app = ServeApp(ServeConfig(max_batch=2, max_pending=16))
 
     async def body(app):
         return await asyncio.wait_for(
             asyncio.gather(
-                app.submit("measure", {"arch": "r3000", "nonce": 0}),
-                app.submit("measure", {"arch": "r3000", "nonce": 1})),
+                *(app.submit("measure", {"arch": "r3000", "nonce": i})
+                  for i in range(5))),
             timeout=30.0)
 
-    results = run(closed(app, body))
-    assert len(results) == 2  # would time out if the window gated the flush
+    with obs.capture(enable_spans=False) as capture:
+        results = run(closed(app, body))
+        window = capture.metrics()
+    assert len(results) == 5 and all(r["arch"] == "r3000" for r in results)
+    # two full batches flush at once, the remainder on the next turn
+    assert counter_total(window, "serve_batches_total") == 3
 
 
 def test_deadline_expired_before_dispatch_is_a_typed_504():
-    app = ServeApp(ServeConfig(batch_window_ms=20.0, max_pending=16))
+    app = ServeApp(ServeConfig(max_pending=16))
 
     async def body(app):
         with pytest.raises(ServeError) as excinfo:
@@ -113,8 +119,7 @@ def test_deadline_expired_before_dispatch_is_a_typed_504():
 
 
 def test_default_deadline_from_config_applies():
-    app = ServeApp(ServeConfig(batch_window_ms=20.0, max_pending=16,
-                               default_deadline_ms=0.0))
+    app = ServeApp(ServeConfig(max_pending=16, default_deadline_ms=0.0))
 
     async def body(app):
         with pytest.raises(ServeError) as excinfo:
@@ -125,14 +130,16 @@ def test_default_deadline_from_config_applies():
 
 
 def test_queue_full_sheds_with_typed_429():
-    app = ServeApp(ServeConfig(max_pending=1, batch_window_ms=50.0,
-                               retry_after_s=0.25))
+    app = ServeApp(ServeConfig(max_pending=1, retry_after_s=0.25))
 
     async def body(app):
-        return await asyncio.gather(
-            *(app.submit("measure", {"arch": "r3000", "nonce": i})
-              for i in range(4)),
-            return_exceptions=True)
+        with WorkerGate(app):
+            tasks = [asyncio.ensure_future(
+                app.submit("measure", {"arch": "r3000", "nonce": i}))
+                for i in range(4)]
+            await wait_until(lambda: app.admission.pending + sum(
+                t.done() for t in tasks) == 4)
+        return await asyncio.gather(*tasks, return_exceptions=True)
 
     with obs.capture(enable_spans=False) as capture:
         outcomes = run(closed(app, body))
@@ -150,15 +157,18 @@ def test_queue_full_sheds_with_typed_429():
 
 
 def test_shed_leaders_fail_their_followers_too():
-    app = ServeApp(ServeConfig(max_pending=1, batch_window_ms=50.0))
+    app = ServeApp(ServeConfig(max_pending=1))
 
     async def body(app):
         # nonce=0 twice: the second is a follower of a shed leader.
-        return await asyncio.gather(
-            app.submit("measure", {"arch": "r3000", "nonce": "occupier"}),
-            app.submit("measure", {"arch": "r3000", "nonce": 0}),
-            app.submit("measure", {"arch": "r3000", "nonce": 0}),
-            return_exceptions=True)
+        with WorkerGate(app):
+            tasks = [asyncio.ensure_future(app.submit("measure", params))
+                     for params in ({"arch": "r3000", "nonce": "occupier"},
+                                    {"arch": "r3000", "nonce": 0},
+                                    {"arch": "r3000", "nonce": 0})]
+            await wait_until(lambda: app.admission.pending + sum(
+                t.done() for t in tasks) == 3)
+        return await asyncio.gather(*tasks, return_exceptions=True)
 
     outcomes = run(closed(app, body))
     assert isinstance(outcomes[0], dict)
@@ -167,17 +177,20 @@ def test_shed_leaders_fail_their_followers_too():
 
 
 def test_drain_completes_admitted_and_refuses_new():
-    app = ServeApp(ServeConfig(batch_window_ms=40.0, max_pending=16))
+    app = ServeApp(ServeConfig(max_pending=16))
 
     async def body(app):
-        pending = [
-            asyncio.ensure_future(
-                app.submit("measure", {"arch": "sparc", "nonce": i}))
-            for i in range(3)
-        ]
-        await asyncio.sleep(0.005)  # requests sit inside the batch window
-        assert app.admission.pending == 3
-        await app.drain()
+        with WorkerGate(app):  # requests sit queued behind held workers
+            pending = [
+                asyncio.ensure_future(
+                    app.submit("measure", {"arch": "sparc", "nonce": i}))
+                for i in range(3)
+            ]
+            await wait_until(lambda: app.admission.pending == 3)
+            assert app.admission.pending == 3
+            drain = asyncio.ensure_future(app.drain())
+            await wait_until(lambda: app.draining)
+        await drain
         results = await asyncio.gather(*pending)
         with pytest.raises(ServeError) as excinfo:
             await app.submit("measure", {"arch": "sparc"})
@@ -191,7 +204,7 @@ def test_drain_completes_admitted_and_refuses_new():
 
 
 def test_unknown_endpoint_and_invalid_params_are_400s():
-    app = ServeApp(ServeConfig(batch_window_ms=1.0))
+    app = ServeApp()
 
     async def body(app):
         with pytest.raises(ServeError) as unknown:
@@ -206,7 +219,7 @@ def test_unknown_endpoint_and_invalid_params_are_400s():
 
 
 def test_per_request_spans_are_emitted():
-    app = ServeApp(ServeConfig(batch_window_ms=5.0))
+    app = ServeApp()
 
     async def body(app):
         await app.submit("measure", {"arch": "r3000"})
@@ -224,7 +237,7 @@ def test_per_request_spans_are_emitted():
 
 
 def test_latency_histogram_and_request_counter_record_status():
-    app = ServeApp(ServeConfig(batch_window_ms=1.0))
+    app = ServeApp()
 
     async def body(app):
         await app.submit("measure", {"arch": "r3000"})

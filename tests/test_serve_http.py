@@ -9,10 +9,11 @@ import asyncio
 import json
 
 from repro.serve import HttpClient, HttpServer, ServeConfig
+from repro.serve.loadgen import WorkerGate, wait_until
 
 
 def serve_config(**overrides):
-    defaults = dict(host="127.0.0.1", port=0, batch_window_ms=2.0)
+    defaults = dict(host="127.0.0.1", port=0)
     defaults.update(overrides)
     return ServeConfig(**defaults)
 
@@ -144,7 +145,7 @@ def test_deadline_header_zero_is_504():
         return await client.request("measure", {"arch": "r3000"},
                                     deadline_ms=0.0)
 
-    reply = with_server(body, batch_window_ms=20.0)
+    reply = with_server(body)
     assert reply.status == 504
     assert reply.body["error"] == "deadline_exceeded"
 
@@ -163,16 +164,23 @@ def test_deadline_in_body_is_honored_and_stripped():
 
 def test_shed_reply_carries_retry_after_header():
     async def body(server, client):
-        tasks = [
-            asyncio.ensure_future(
-                HttpClient(server.host, server.port).request(
-                    "measure", {"arch": "r3000", "nonce": i}))
-            for i in range(6)
-        ]
-        return await asyncio.gather(*tasks)
+        admission = server.app.admission
+        clients = [HttpClient(server.host, server.port) for _ in range(6)]
+        with WorkerGate(server.app):
+            tasks = [
+                asyncio.ensure_future(
+                    burst_client.request(
+                        "measure", {"arch": "r3000", "nonce": i}))
+                for i, burst_client in enumerate(clients)
+            ]
+            await wait_until(lambda: admission.pending + sum(
+                t.done() for t in tasks) == 6)
+        replies = await asyncio.gather(*tasks)
+        for burst_client in clients:
+            await burst_client.close()
+        return replies
 
-    replies = with_server(body, max_pending=1, batch_window_ms=60.0,
-                          retry_after_s=0.5)
+    replies = with_server(body, max_pending=1, retry_after_s=0.5)
     served = [r for r in replies if r.status == 200]
     shed = [r for r in replies if r.status == 429]
     assert len(served) + len(shed) == 6
@@ -201,17 +209,20 @@ def test_metrics_endpoint_serves_prometheus_text():
 
 def test_graceful_drain_over_http_answers_everyone():
     async def harness():
-        server = HttpServer(config=serve_config(batch_window_ms=40.0,
-                                                max_pending=32))
+        server = HttpServer(config=serve_config(max_pending=32))
         host, port = await server.start()
+        app = server.app
         clients = [HttpClient(host, port) for _ in range(5)]
-        inflight = [
-            asyncio.ensure_future(
-                client.request("measure", {"arch": "i860", "nonce": i}))
-            for i, client in enumerate(clients)
-        ]
-        await asyncio.sleep(0.005)  # requests are queued in the window
-        await server.shutdown()
+        with WorkerGate(app):  # requests are queued behind held workers
+            inflight = [
+                asyncio.ensure_future(
+                    client.request("measure", {"arch": "i860", "nonce": i}))
+                for i, client in enumerate(clients)
+            ]
+            await wait_until(lambda: app.admission.pending == 5)
+            shutdown = asyncio.ensure_future(server.shutdown())
+            await wait_until(lambda: app.draining)
+        await shutdown
         replies = await asyncio.gather(*inflight)
         refused = False
         try:

@@ -96,7 +96,7 @@ def test_closed_loop_against_live_server_is_clean():
 
     async def harness():
         server = HttpServer(config=ServeConfig(
-            host="127.0.0.1", port=0, batch_window_ms=2.0, max_pending=64))
+            host="127.0.0.1", port=0, max_pending=64))
         host, port = await server.start()
         try:
             return await closed_loop(host, port, request_mix(12, seed=1),
@@ -118,7 +118,7 @@ def test_open_loop_against_live_server_is_clean():
 
     async def harness():
         server = HttpServer(config=ServeConfig(
-            host="127.0.0.1", port=0, batch_window_ms=2.0, max_pending=64))
+            host="127.0.0.1", port=0, max_pending=64))
         host, port = await server.start()
         try:
             return await open_loop(host, port, request_mix(8, seed=2),

@@ -13,12 +13,21 @@ import asyncio
 import re
 
 from repro import obs
+from repro.core.engine import ExperimentEngine, default_engine, set_default_engine
 from repro.provenance import PROVENANCE
-from repro.serve import HttpClient, HttpServer, ServeApp, ServeConfig, ServeError
+from repro.serve import (
+    HttpClient,
+    HttpServer,
+    ServeApp,
+    ServeConfig,
+    ServeError,
+    execute_one,
+)
+from repro.serve.loadgen import WorkerGate, wait_until
 
 
 def serve_config(**overrides):
-    defaults = dict(host="127.0.0.1", port=0, batch_window_ms=2.0)
+    defaults = dict(host="127.0.0.1", port=0)
     defaults.update(overrides)
     return ServeConfig(**defaults)
 
@@ -142,7 +151,7 @@ def test_expired_deadline_still_closes_span_and_leaves_stub():
                                "X-Deadline-Ms: 0.0"])
 
     with obs.capture() as capture:
-        status_line, headers, _ = with_server(body, batch_window_ms=20.0)
+        status_line, headers, _ = with_server(body)
         spans = [s for s in capture.spans if s.category == "request"]
     assert "504" in status_line
     assert headers["x-request-id"] == "corr-dead"
@@ -156,12 +165,15 @@ def test_expired_deadline_still_closes_span_and_leaves_stub():
 
 
 def test_shed_request_still_carries_id_and_stub():
-    app = ServeApp(ServeConfig(batch_window_ms=60.0, max_pending=1))
+    app = ServeApp(ServeConfig(max_pending=1))
 
     async def body():
-        tasks = [asyncio.ensure_future(
-            app.submit("measure", {"arch": "r3000", "nonce": i},
-                       request_id=f"corr-shed-{i}")) for i in range(6)]
+        with WorkerGate(app):
+            tasks = [asyncio.ensure_future(
+                app.submit("measure", {"arch": "r3000", "nonce": i},
+                           request_id=f"corr-shed-{i}")) for i in range(6)]
+            await wait_until(lambda: app.admission.pending + sum(
+                t.done() for t in tasks) == 6)
         done = await asyncio.gather(*tasks, return_exceptions=True)
         await app.aclose()
         return done
@@ -176,6 +188,65 @@ def test_shed_request_still_carries_id_and_stub():
     for stub in stubs:
         assert stub.meta["code"] == "overloaded"
         assert stub.inputs == ()
+
+
+def serve_sequentially(request_ids, arch="r3000"):
+    """Answer one measure request per id, in order, on one ServeApp."""
+    app = ServeApp()
+
+    async def body():
+        try:
+            for request_id in request_ids:
+                await app.submit("measure", {"arch": arch},
+                                 request_id=request_id)
+        finally:
+            await app.aclose()
+
+    asyncio.run(body())
+
+
+def serve_record(request_id):
+    (record,) = [r for r in serve_request_records()
+                 if r.request_id == request_id]
+    return record
+
+
+def test_roots_resolve_after_the_recorder_evicts_their_chains():
+    serve_sequentially(["evict-warm"])
+    capacity = PROVENANCE.capacity
+    PROVENANCE.capacity = 64
+    try:
+        # each request adds a serve_request record and reuses the
+        # memoized chains, so these push the chains out of the registry
+        serve_sequentially([f"evict-{i}" for i in range(200)])
+        last = serve_record("evict-199")
+        assert last.inputs
+        missing = [d for d in last.inputs if PROVENANCE.get(d) is None]
+        assert missing == []
+    finally:
+        PROVENANCE.capacity = capacity
+
+
+def test_execution_record_names_its_producing_request():
+    previous = default_engine()
+    set_default_engine(ExperimentEngine())  # the first request runs cold
+    try:
+        serve_sequentially(["produce-1", "reuse-2"], arch="sparc")
+    finally:
+        set_default_engine(previous)
+    first, second = serve_record("produce-1"), serve_record("reuse-2")
+    assert first.inputs and set(first.inputs) == set(second.inputs)
+    for digest in first.inputs:
+        record = PROVENANCE.get(digest)
+        assert record.kind == "execution"
+        assert record.request_id == "produce-1"
+
+
+def test_execute_one_envelope_carries_roots_not_records():
+    outcome = execute_one(("measure", {"arch": "r3000"}, "envelope-1"))
+    assert outcome["ok"] is True
+    assert outcome["roots"]
+    assert "lineage" not in outcome
 
 
 # ----------------------------------------------------------------------
