@@ -82,8 +82,8 @@ def derive_generation(base: ArchSpec, factor: float) -> ArchSpec:
 
 def _primitive_us(arch: ArchSpec, primitive: Primitive) -> float:
     program = handler_program(arch, primitive)
-    drain = primitive in (Primitive.TRAP, Primitive.CONTEXT_SWITCH)
-    return run_cached(arch, program, drain_write_buffer=drain).time_us
+    return run_cached(arch, program,
+                      drain_write_buffer=primitive.drains_write_buffer).time_us
 
 
 def generation_sweep(factors: "tuple[float, ...]" = (1.0, 2.0, 4.0, 8.0)) -> List[GenerationPoint]:

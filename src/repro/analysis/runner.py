@@ -99,8 +99,8 @@ def _persist_records(records, sink) -> None:
 #: digests are pure functions of (number, fp, text); the stored text is
 #: compared on every use, so a render that ever produced different
 #: bytes under the same key re-hashes instead of lying.  Re-sightings
-#: with unchanged inputs/request-id re-record the identical object,
-#: which the recorder recognizes by identity.
+#: re-record the identical object, which the recorder recognizes by
+#: identity.
 _TABLE_DIGEST_MEMO: "Dict[Tuple[int, str], Tuple[str, Any]]" = {}
 
 
@@ -108,12 +108,14 @@ def _record_table(number: int, fp: str, text: str,
                   inputs: "Tuple[str, ...]", sink=None):
     """One lineage node per rendered table, named by (number, registry).
 
-    Memoized re-renders re-record with no inputs; the recorder merge
-    unions them with the cold render's execution ancestry, so the node
-    keeps its inputs while collect scopes (e.g. the serve layer) still
-    observe the table root on every hit.  Returns the merged record (or
-    ``None`` with provenance off) so ``render_all`` can batch the
-    sidecar appends of a whole sweep into one write.
+    A record says how the table was *produced*: a render stamps its
+    execution inputs and the current request id, while a memoized
+    re-render (no inputs) re-records the memoized record unchanged, so
+    the node keeps naming the request that produced it and a warm hit
+    writes nothing to the sidecar, while collect scopes (e.g. the
+    serve layer) still observe the table root.  Returns the merged
+    record (or ``None`` with provenance off) so ``render_all`` can
+    batch the sidecar appends of a whole sweep into one write.
     """
     from repro.provenance import (
         PROV_STATE,
@@ -129,7 +131,7 @@ def _record_table(number: int, fp: str, text: str,
     memo = _TABLE_DIGEST_MEMO.get((number, fp))
     if memo is not None and memo[0] == text:
         record = memo[1]
-        if record.inputs != inputs or record.request_id != rid:
+        if inputs and (record.inputs != inputs or record.request_id != rid):
             record = LineageRecord(
                 digest=record.digest, kind="table", inputs=inputs,
                 request_id=rid, result_digest=record.result_digest,

@@ -67,8 +67,8 @@ PERTURBATIONS: Dict[str, Callable[[ArchSpec, float], ArchSpec]] = {
 
 def _primitive_us(arch: ArchSpec, primitive: Primitive) -> float:
     program = handler_program(arch, primitive)
-    drain = primitive in (Primitive.TRAP, Primitive.CONTEXT_SWITCH)
-    return run_cached(arch, program, drain_write_buffer=drain).time_us
+    return run_cached(arch, program,
+                      drain_write_buffer=primitive.drains_write_buffer).time_us
 
 
 @dataclass

@@ -9,7 +9,10 @@ as a machine-readable hook for downstream dashboards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import TYPE_CHECKING, Dict, List, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - import for typing only
+    from repro.analysis.intext import Claim
 
 
 @dataclass(frozen=True)
@@ -21,8 +24,12 @@ class Finding:
     holds: bool
 
 
-def headline_findings() -> List[Finding]:
-    """Compute the headline findings (runs the relevant experiments)."""
+def headline_findings(claims: "Optional[Dict[str, Claim]]" = None) -> List[Finding]:
+    """Compute the headline findings (runs the relevant experiments).
+
+    ``claims`` is :func:`~repro.analysis.intext.all_claims`'s result when
+    the caller already has it; otherwise it is computed here.
+    """
     from repro.analysis import table1, table7
     from repro.analysis.intext import all_claims
     from repro.analysis.scaling import sprite_measured
@@ -95,7 +102,8 @@ def headline_findings() -> List[Finding]:
         )
     )
 
-    claims = all_claims()
+    if claims is None:
+        claims = all_claims()
     agreeing = sum(1 for c in claims.values() if c.within)
     findings.append(
         Finding(
@@ -132,13 +140,13 @@ def headline_findings() -> List[Finding]:
     return findings
 
 
-def render() -> str:
-    """One-screen summary."""
+def render(claims: "Optional[Dict[str, Claim]]" = None) -> str:
+    """One-screen summary (``claims`` as for :func:`headline_findings`)."""
     from repro.core.tables import TextTable
 
     table = TextTable(["finding", "paper", "measured", "holds"],
                       title="Headline findings")
-    for finding in headline_findings():
+    for finding in headline_findings(claims):
         table.add_row([finding.claim, finding.paper, finding.measured,
                        "yes" if finding.holds else "NO"])
     return table.render()

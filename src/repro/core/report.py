@@ -7,16 +7,16 @@ Used by ``examples/reproduce_paper.py``.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 from repro.analysis import crosstable, intext, scaling
 from repro.core.tables import TextTable
 
 
-def _claims_table() -> str:
+def _claims_table(claims: "Dict[str, intext.Claim]") -> str:
     out = TextTable(["claim", "paper", "measured", "agrees"],
                     title="In-text claims (the paper's figure-equivalents)")
-    for claim in intext.all_claims().values():
+    for claim in claims.values():
         paper = claim.paper
         if isinstance(paper, tuple):
             paper = f"{paper[0]:g}-{paper[1]:g}"
@@ -97,10 +97,10 @@ def _motivation_section() -> str:
     ])
 
 
-def _summary_section() -> str:
+def _summary_section(claims: "Dict[str, intext.Claim]") -> str:
     from repro.analysis.summary import render as render_summary
 
-    return render_summary()
+    return render_summary(claims)
 
 
 def full_report(parallel: bool = False, max_workers: "int | None" = None) -> str:
@@ -116,13 +116,15 @@ def full_report(parallel: bool = False, max_workers: "int | None" = None) -> str
     table_sections: List[str] = []
     for number in sorted(tables):
         table_sections.extend([tables[number], ""])
+    # the claims table and the headline findings read the same claims
+    claims = intext.all_claims()
     sections: List[str] = [
         "REPRODUCTION REPORT — Anderson et al., ASPLOS 1991",
         "=" * 60,
         _motivation_section(),
         "",
         *table_sections,
-        _claims_table(),
+        _claims_table(claims),
         "",
         _crosstable_section(),
         "",
@@ -130,6 +132,6 @@ def full_report(parallel: bool = False, max_workers: "int | None" = None) -> str
         "",
         _proposals_section(),
         "",
-        _summary_section(),
+        _summary_section(claims),
     ]
     return "\n".join(sections)

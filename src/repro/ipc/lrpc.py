@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.isa.executor import Executor
-from repro.isa.program import ProgramBuilder
+from repro.isa.program import Program, ProgramBuilder
 from repro.kernel.primitives import Primitive
 from repro.kernel.system import SimulatedMachine
 from repro.mem.pagetable import Protection
@@ -98,18 +98,22 @@ class LRPCBinding:
 
     # ------------------------------------------------------------------
     def _stub_us(self) -> float:
-        b = ProgramBuilder("lrpc_stub")
-        b.alu(self.STUB_OPS, comment="binding validation, dispatch")
-        b.branch(4)
-        return self._executor.run(b.build()).time_us
+        def build() -> Program:
+            b = ProgramBuilder("lrpc_stub")
+            b.alu(self.STUB_OPS, comment="binding validation, dispatch")
+            b.branch(4)
+            return b.build()
+        return self._executor.price_us("lrpc_stub", build)
 
     def _copy_args_us(self) -> float:
         """One argument copy into the shared A-stack (§2.4: 'even in
         LRPC ... two copies are necessary')."""
-        b = ProgramBuilder("lrpc_copy")
-        b.loads(self.ARG_WORDS)
-        b.stores(self.ARG_WORDS, page=SHARED_BUFFER_VPN)
-        return self._executor.run(b.build()).time_us
+        def build() -> Program:
+            b = ProgramBuilder("lrpc_copy")
+            b.loads(self.ARG_WORDS)
+            b.stores(self.ARG_WORDS, page=SHARED_BUFFER_VPN)
+            return b.build()
+        return self._executor.price_us("lrpc_copy", build)
 
     def _switch_into(self, process) -> Dict[str, float]:
         """Kernel entry + address-space switch + working-set refill."""

@@ -104,14 +104,8 @@ class RPCEndpoint:
         self.machine = machine
         self.arch: ArchSpec = machine.arch
         self._executor = Executor(self.arch)
-        self._cache: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
-    def _run_us(self, key: str, program: Program) -> float:
-        if key not in self._cache:
-            self._cache[key] = self._executor.run(program).time_us
-        return self._cache[key]
-
     def stub_us(self, payload_bytes: int) -> float:
         """Marshal or unmarshal ``payload_bytes`` plus linkage.
 
@@ -119,47 +113,60 @@ class RPCEndpoint:
         executor); the bulk copy runs at the machine's block-copy
         bandwidth (§2.4: copies do not scale with integer speed).
         """
-        b = ProgramBuilder("rpc_stub")
-        b.alu(self.STUB_FIXED_OPS, comment="argument discipline, descriptors")
-        b.branch(6)
-        fixed = self._run_us("stub_fixed", b.build())
+        def build() -> Program:
+            b = ProgramBuilder("rpc_stub")
+            b.alu(self.STUB_FIXED_OPS, comment="argument discipline, descriptors")
+            b.branch(6)
+            return b.build()
+        fixed = self._executor.price_us("stub_fixed", build)
         return fixed + self.arch.memory.copy_us(payload_bytes)
 
     def checksum_us(self, payload_bytes: int) -> float:
         """IP-style checksum: per-byte adds at checksum bandwidth plus
         fixed setup/fold work at CPU speed."""
-        b = ProgramBuilder("rpc_checksum")
-        b.alu(self.CHECKSUM_FIXED_OPS, comment="setup, fold, compare")
-        b.loads(2, uncached=True, comment="I/O buffer head touch")
-        fixed = self._run_us("checksum_fixed", b.build())
+        def build() -> Program:
+            b = ProgramBuilder("rpc_checksum")
+            b.alu(self.CHECKSUM_FIXED_OPS, comment="setup, fold, compare")
+            b.loads(2, uncached=True, comment="I/O buffer head touch")
+            return b.build()
+        fixed = self._executor.price_us("checksum_fixed", build)
         return fixed + self.arch.memory.checksum_us(payload_bytes)
 
     def os_send_us(self) -> float:
         """Syscall + driver queue + device start."""
         us = self.machine.primitive_cost_us(Primitive.NULL_SYSCALL)
-        b = ProgramBuilder("driver_send")
-        b.alu(self.DRIVER_SEND_OPS, comment="buffer descriptors, queueing")
-        b.stores(8, page=_IO_BUFFER_PAGE, comment="ring descriptor writes")
-        b.special_ops(4, comment="device CSR pokes")
-        return us + self._run_us("driver_send", b.build())
+
+        def build() -> Program:
+            b = ProgramBuilder("driver_send")
+            b.alu(self.DRIVER_SEND_OPS, comment="buffer descriptors, queueing")
+            b.stores(8, page=_IO_BUFFER_PAGE, comment="ring descriptor writes")
+            b.special_ops(4, comment="device CSR pokes")
+            return b.build()
+        return us + self._executor.price_us("driver_send", build)
 
     def interrupt_us(self) -> float:
         """Receive interrupt: trap + driver receive path."""
         us = self.machine.primitive_cost_us(Primitive.TRAP)
-        b = ProgramBuilder("driver_recv")
-        b.alu(self.DRIVER_RECV_OPS, comment="demultiplex, buffer handoff")
-        b.loads(10, comment="ring descriptor reads")
-        b.special_ops(4, comment="device CSR acknowledge")
-        return us + self._run_us("driver_recv", b.build())
+
+        def build() -> Program:
+            b = ProgramBuilder("driver_recv")
+            b.alu(self.DRIVER_RECV_OPS, comment="demultiplex, buffer handoff")
+            b.loads(10, comment="ring descriptor reads")
+            b.special_ops(4, comment="device CSR acknowledge")
+            return b.build()
+        return us + self._executor.price_us("driver_recv", build)
 
     def wakeup_us(self) -> float:
         """Unblock and dispatch the waiting thread."""
         us = self.machine.primitive_cost_us(Primitive.CONTEXT_SWITCH)
-        b = ProgramBuilder("scheduler")
-        b.alu(self.SCHEDULER_OPS, comment="ready queue, priority check")
-        b.loads(6)
-        b.stores(4, page=_STACK_PAGE)
-        return us + self._run_us("scheduler", b.build())
+
+        def build() -> Program:
+            b = ProgramBuilder("scheduler")
+            b.alu(self.SCHEDULER_OPS, comment="ready queue, priority check")
+            b.loads(6)
+            b.stores(4, page=_STACK_PAGE)
+            return b.build()
+        return us + self._executor.price_us("scheduler", build)
 
     def send_side_us(self, payload_bytes: int) -> Dict[str, float]:
         return {

@@ -17,7 +17,7 @@ return-from-exception instruction counts as one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Mapping
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, Mapping
 
 from repro.isa.instructions import Instruction, OpClass
 from repro.isa.program import Program
@@ -129,6 +129,7 @@ class Executor:
         self.arch = arch
         self.observer = observer
         self._write_buffer = make_write_buffer(arch.write_buffer)
+        self._prices: Dict[Hashable, float] = {}
 
     # ------------------------------------------------------------------
     def _instruction_cost(self, inst: Instruction, now: float) -> "tuple[int, float, float]":
@@ -204,6 +205,24 @@ class Executor:
                 if observer is not None:
                     observer.on_drain(drain)
         return result
+
+    def price_us(self, key: Hashable, build: Callable[[], Program],
+                 drain_write_buffer: bool = False) -> float:
+        """Time of the program ``key`` names, run once per executor.
+
+        :meth:`run` starts from a quiescent machine, so a program's time
+        depends only on (arch, program, drain).  The first sighting of
+        ``key`` runs ``build()`` and stores its ``time_us``; later ones
+        return the stored value without building anything.  ``key``
+        must therefore determine the program and the drain flag.  The
+        observer sees only that first run.
+        """
+        try:
+            return self._prices[key]
+        except KeyError:
+            us = self.run(build(), drain_write_buffer).time_us
+            self._prices[key] = us
+            return us
 
 
 def run_on(arch: "ArchSpec", program: Program, drain_write_buffer: bool = False) -> ExecutionResult:

@@ -216,17 +216,16 @@ def _generic_program(arch: ArchSpec, primitive: Primitive) -> Program:
 def build_handler(arch: ArchSpec, primitive: Primitive) -> ExecutionResult:
     """Build and execute the driver for ``primitive`` on ``arch``.
 
-    Trap-like primitives drain the write buffer at the end: the
-    measured loop immediately re-enters the kernel, so pending stores
-    are part of the observable latency.
+    The run drains the write buffer when the primitive says so
+    (:attr:`Primitive.drains_write_buffer`).
     """
     program = handler_program(arch, primitive)
-    drain = primitive in (Primitive.TRAP, Primitive.CONTEXT_SWITCH)
     from repro.core.engine import run_cached
     from repro.kernel.primitives import primitive_span
 
     with primitive_span(primitive, arch.name):
-        return run_cached(arch, program, drain_write_buffer=drain)
+        return run_cached(arch, program,
+                          drain_write_buffer=primitive.drains_write_buffer)
 
 
 def instruction_count(arch: ArchSpec, primitive: Primitive) -> int:

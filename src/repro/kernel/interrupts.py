@@ -10,7 +10,7 @@ the controller-side mechanics the machine model needs:
 * nesting: a higher-priority interrupt preempts a running handler,
   paying a fresh trap entry each level;
 * per-delivery cost = the architecture's trap handler (§1.1) plus the
-  registered device handler's own program.
+  registered device handler's own program, priced once per line.
 
 The clock interrupt generator drives the Table 7 "other exceptions"
 column in the functional replay path.
@@ -124,7 +124,8 @@ class InterruptController:
         self._in_service.append(line.level)
         try:
             us = self._trap_us  # trap entry/exit around the ISR
-            us += self._executor.run(line.handler_program).time_us
+            # a line name is registered once, so it names its ISR
+            us += self._executor.price_us(line.name, lambda: line.handler_program)
             self.machine.counters.other_exceptions += 1
             self.machine.advance(us)
             self.stats.delivered += 1

@@ -35,6 +35,16 @@ class Primitive(enum.Enum):
             Primitive.CONTEXT_SWITCH: "Context switch",
         }[self]
 
+    @property
+    def drains_write_buffer(self) -> bool:
+        """Whether a run of this primitive's handler charges the drain.
+
+        Trap-like primitives drain the write buffer at the end: the
+        measured loop re-enters the kernel at once, so pending stores
+        are part of the observable latency.
+        """
+        return self is Primitive.TRAP or self is Primitive.CONTEXT_SWITCH
+
 
 @contextmanager
 def primitive_span(primitive: Primitive, arch_name: str):

@@ -69,22 +69,16 @@ class SimulatedMachine:
         self.current_process: Optional[Process] = None
         self._syscalls: Dict[str, SyscallHandler] = {}
         self._executor = Executor(arch)
-        self._primitive_us: Dict[Primitive, float] = {}
         self.register_syscall("null", lambda machine: None)
 
     # ------------------------------------------------------------------
     # cost plumbing
     # ------------------------------------------------------------------
     def primitive_cost_us(self, primitive: Primitive) -> float:
-        """Handler cost of one primitive on this architecture (cached)."""
-        if primitive not in self._primitive_us:
-            program = handler_program(self.arch, primitive)
-            result = self._executor.run(
-                program,
-                drain_write_buffer=primitive in (Primitive.TRAP, Primitive.CONTEXT_SWITCH),
-            )
-            self._primitive_us[primitive] = result.time_us
-        return self._primitive_us[primitive]
+        """Handler cost of one primitive on this architecture (priced once)."""
+        return self._executor.price_us(
+            primitive, lambda: handler_program(self.arch, primitive),
+            drain_write_buffer=primitive.drains_write_buffer)
 
     def _emit(self, name: str, start_us: float, detail: str = "") -> None:
         """Emit one primitive span [start_us, now] on the machine track."""

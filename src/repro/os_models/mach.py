@@ -164,7 +164,7 @@ class MachOS:
         self._cost_us = {
             primitive: executor.run(
                 handler_program(self.arch, primitive),
-                drain_write_buffer=primitive in (Primitive.TRAP, Primitive.CONTEXT_SWITCH),
+                drain_write_buffer=primitive.drains_write_buffer,
             ).time_us
             for primitive in Primitive
         }

@@ -115,8 +115,7 @@ class CostModel:
         primitive_us = {
             primitive: executor.run(
                 handler_program(arch, primitive),
-                drain_write_buffer=primitive in (Primitive.TRAP,
-                                                 Primitive.CONTEXT_SWITCH),
+                drain_write_buffer=primitive.drains_write_buffer,
             ).time_us
             for primitive in Primitive
         }

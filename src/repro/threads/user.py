@@ -15,7 +15,12 @@ to cross kernel boundaries."  The costs that matter:
 
 All costs are computed by executing small register-move programs on the
 architecture's executor, so write-buffer behaviour and memory latency
-flow through exactly as in the §1.1 microbenchmarks.
+flow through exactly as in the §1.1 microbenchmarks.  A package prices
+each program once, through :meth:`~repro.isa.executor.Executor.price_us`:
+the window flush keyed on its dirty-window count, the overflow spill,
+the underflow fill and the CWP trap.  A run starts from a quiescent
+machine, so one run per program is exact: after a program's first
+sighting, a switch, call or return builds and runs nothing.
 """
 
 from __future__ import annotations
@@ -129,7 +134,6 @@ class UserThreadPackage:
         self._state_move_us = self._executor.run(
             _state_move_program(arch, include_fp=include_fp_state)
         ).time_us
-        self._kernel_trap_us: Optional[float] = None
 
     # ------------------------------------------------------------------
     def _window_trap_us(self) -> float:
@@ -139,29 +143,53 @@ class UserThreadPackage:
         far less than a full system call, but still a kernel boundary
         the "completely user-level" switch cannot avoid (§4.1).
         """
-        if self._kernel_trap_us is None:
+        def build() -> Program:
             b = ProgramBuilder("cwp_trap")
             b.trap_entry(comment="dedicated CWP-change trap")
             b.special_ops(4, comment="rotate CWP, fix WIM")
             b.alu(4)
             b.rfe(comment="rett")
-            self._kernel_trap_us = self._executor.run(b.build()).time_us
-        return self._kernel_trap_us
+            return b.build()
+        return self._executor.price_us("cwp_trap", build)
+
+    def _flush_us(self, windows: int) -> float:
+        """Spill ``windows`` dirty windows and fill the incoming ones."""
+        def build() -> Program:
+            regs = self.arch.windows.regs_per_window
+            b = ProgramBuilder("window_flush")
+            for _ in range(windows):
+                b.special_ops(2, comment="rotate CWP/WIM")
+                b.alu(7, comment="flush loop control")
+                b.stores(regs, page=2, comment="spill window")
+                b.loads(regs, page=2, comment="fill incoming window")
+                b.branch(2)
+            return b.build()
+        return self._executor.price_us(("window_flush", windows), build)
 
     def _window_flush_us(self, thread: UserThread) -> float:
         """Spill the outgoing thread's dirty windows to memory."""
         assert self.arch.windows is not None and thread.windows is not None
         dirty = thread.windows.flush_for_switch()
         self.stats.windows_flushed += dirty
-        regs = self.arch.windows.regs_per_window
-        b = ProgramBuilder("window_flush")
-        for _ in range(dirty):
-            b.special_ops(2, comment="rotate CWP/WIM")
-            b.alu(7, comment="flush loop control")
-            b.stores(regs, page=2, comment="spill window")
-            b.loads(regs, page=2, comment="fill incoming window")
-            b.branch(2)
-        return self._executor.run(b.build()).time_us
+        return self._flush_us(dirty)
+
+    def _spill_us(self) -> float:
+        """Window overflow: spill one window."""
+        def build() -> Program:
+            b = ProgramBuilder("overflow_spill")
+            b.stores(self.arch.windows.regs_per_window, page=2)
+            b.special_ops(2)
+            return b.build()
+        return self._executor.price_us("overflow_spill", build)
+
+    def _fill_us(self) -> float:
+        """Window underflow: fill one window."""
+        def build() -> Program:
+            b = ProgramBuilder("underflow_fill")
+            b.loads(self.arch.windows.regs_per_window, page=2)
+            b.special_ops(2)
+            return b.build()
+        return self._executor.price_us("underflow_fill", build)
 
     # ------------------------------------------------------------------
     def create(self, name: str = "") -> UserThread:
@@ -202,12 +230,7 @@ class UserThreadPackage:
         thread = self.current
         if thread is not None and thread.windows is not None:
             if thread.windows.call():
-                # window overflow: spill one window
-                regs = self.arch.windows.regs_per_window
-                b = ProgramBuilder("overflow_spill")
-                b.stores(regs, page=2)
-                b.special_ops(2)
-                us += self._executor.run(b.build()).time_us
+                us += self._spill_us()
         self.stats.procedure_calls += 1
         self.stats.total_us += us
         return us
@@ -217,11 +240,7 @@ class UserThreadPackage:
         us = 0.0
         if thread is not None and thread.windows is not None:
             if thread.windows.ret():
-                regs = self.arch.windows.regs_per_window
-                b = ProgramBuilder("underflow_fill")
-                b.loads(regs, page=2)
-                b.special_ops(2)
-                us = self._executor.run(b.build()).time_us
+                us = self._fill_us()
                 self.stats.total_us += us
         return us
 
@@ -253,14 +272,5 @@ class UserThreadPackage:
         """The §4.1 ratio (≈50 on SPARC with 3 window save/restores)."""
         us = self.switch_us
         if self.arch.has_register_windows:
-            regs = self.arch.windows.regs_per_window
-            n = self.arch.windows.avg_windows_per_switch
-            b = ProgramBuilder("avg_window_flush")
-            for _ in range(n):
-                b.special_ops(2)
-                b.alu(7)
-                b.stores(regs, page=2)
-                b.loads(regs, page=2)
-                b.branch(2)
-            us += self._executor.run(b.build()).time_us
+            us += self._flush_us(self.arch.windows.avg_windows_per_switch)
         return us / self._procedure_call_us

@@ -1,6 +1,8 @@
 """§2.5 proposal evaluations, the future sweep, functional validation,
 and the full report."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.future import derive_generation, generation_sweep
@@ -15,6 +17,9 @@ from repro.analysis.proposals import (
 from repro.arch import get_arch
 from repro.core.functional_bench import cross_validate, measure_functionally
 from repro.kernel.primitives import Primitive
+
+#: ``full_report()`` text, captured before the executor price memo.
+REPORT_GOLDEN = Path(__file__).parent / "goldens" / "report.txt"
 
 
 # ----------------------------------------------------------------------
@@ -117,3 +122,5 @@ def test_full_report_contains_everything():
     ):
         assert marker in text, marker
     assert "NO" not in text.split("In-text claims")[1].split("Cross-table")[0]
+    # byte for byte: a faster pricing path must not move a single digit
+    assert text == REPORT_GOLDEN.read_text(encoding="utf-8")

@@ -10,11 +10,13 @@ counters from the very first scrape.
 """
 
 import asyncio
+import json
 import re
 
 from repro import obs
 from repro.core.engine import ExperimentEngine, default_engine, set_default_engine
-from repro.provenance import PROVENANCE
+from repro.analysis.runner import render_table
+from repro.provenance import PROVENANCE, reset_request_id, set_request_id
 from repro.serve import (
     HttpClient,
     HttpServer,
@@ -240,6 +242,22 @@ def test_execution_record_names_its_producing_request():
         record = PROVENANCE.get(digest)
         assert record.kind == "execution"
         assert record.request_id == "produce-1"
+
+
+def test_table_record_names_its_producing_request(tmp_path):
+    engine = ExperimentEngine(disk_cache_dir=str(tmp_path))
+    for request_id in ("t-first", "t-second", "t-third", "t-fourth"):
+        token = set_request_id(request_id)
+        try:
+            render_table(1, engine=engine)
+        finally:
+            reset_request_id(token)
+    # warm hits re-record the producing render's record: nothing to append
+    (line,) = (tmp_path / "lineage.jsonl").read_text().splitlines()
+    table = json.loads(line)
+    assert table["kind"] == "table"
+    assert table["request_id"] == "t-first"
+    assert PROVENANCE.get(table["digest"]).request_id == "t-first"
 
 
 def test_execute_one_envelope_carries_roots_not_records():
