@@ -1,13 +1,13 @@
 #!/usr/bin/env python
 """Emit a machine-readable performance snapshot of the experiment engine.
 
-Times full-table regeneration cold (fresh engine), warm (memoized), and
-parallel (SweepRunner fan-out), the scalar/batched/cached trace replay
-ladder, the compiled-executor cold path over the mechanisms design
-grid, the unified store's tier latencies / digest-lock waits /
-WAL-compaction cost, the serving layer's coalesce/shed/drain
-contracts with closed-loop latency, and the cluster's 1-vs-2-worker
-cold-sweep scaling with its frontier-parity check.  Writes two
+Times full-table regeneration cold (fresh engine) and warm (memoized),
+the scalar/batched/cached trace replay ladder, the compiled-executor
+cold path over the mechanisms design grid, the unified store's tier
+latencies / digest-lock waits / WAL-compaction cost, the serving
+layer's coalesce/shed/drain contracts with closed-loop latency, and
+the cluster's 1-vs-2-worker cold-sweep scaling with its
+frontier-parity check.  Writes two
 snapshots: ``BENCH_engine.json`` (engine + compiled + explore + obs +
 provenance + store + cluster) and ``BENCH_serve.json`` (the
 serving scenarios, same shape as ``repro serve bench --out``)::
@@ -149,7 +149,7 @@ def main(argv=None) -> int:
     timings: "dict[str, float]" = {}
     checks: "dict[str, bool]" = {}
 
-    # --- full-table regeneration: cold / warm / parallel ---------------
+    # --- full-table regeneration: cold / warm -------------------------
     cold_ms, cold_tables = best_of(
         repeats, lambda: runner.render_all(engine=ExperimentEngine())
     )
@@ -162,13 +162,6 @@ def main(argv=None) -> int:
     )
     timings["tables_warm"] = warm_ms
     checks["warm_equals_cold"] = warm_tables == cold_tables
-
-    parallel_ms, parallel_tables = best_of(
-        repeats,
-        lambda: runner.render_all(parallel=True, engine=ExperimentEngine()),
-    )
-    timings["tables_parallel_cold"] = parallel_ms
-    checks["parallel_equals_serial"] = parallel_tables == cold_tables
 
     # --- trace replay ladder: scalar / batched / cached ----------------
     tlb = get_arch("cvax").tlb

@@ -1,10 +1,11 @@
 """Table regeneration through the experiment engine.
 
-One place knows how to regenerate the paper's seven tables: serially,
-memoized (same architecture content -> cached render), or fanned across
-worker processes with deterministic ordering.  The CLI, the full
-report, the benchmark harness and the perf snapshot all call this
-module instead of looping over table modules themselves.
+One place knows how to regenerate the paper's seven tables, memoized
+under the architecture content (same content -> cached render).  The
+CLI, the full report, the benchmark harness and the perf snapshot all
+call this module instead of looping over table modules themselves.
+Renders run in this process: all seven together take less time than
+starting a process pool would.
 """
 
 from __future__ import annotations
@@ -13,12 +14,7 @@ import hashlib
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.analysis import table1, table2, table3, table4, table5, table6, table7
-from repro.core.engine import (
-    ExperimentEngine,
-    SweepRunner,
-    default_engine,
-    fingerprint_spec,
-)
+from repro.core.engine import ExperimentEngine, default_engine, fingerprint_spec
 
 #: the paper's tables, in presentation order.
 TABLE_MODULES = {
@@ -51,8 +47,7 @@ def _collect_render(number: int):
     """Render one table in-process, collecting its lineage.
 
     Returns ``(text, records, execution_digests)`` with the records as
-    live objects — the serial path stays serialization-free; only the
-    process-pool worker below pays the payload round-trip.
+    live objects.
     """
     from repro.provenance import PROV_STATE, PROVENANCE
 
@@ -62,21 +57,6 @@ def _collect_render(number: int):
         text = TABLE_MODULES[number].render()
     return text, records, tuple(
         r.digest for r in records if r.kind == "execution")
-
-
-def _render_worker(number: int) -> "Dict[str, Any]":
-    """Top-level (picklable) worker: render one table from scratch.
-
-    Returns the text plus the lineage collected during the render —
-    payload and execution digests ride the return value because the
-    parallel path crosses a process boundary, exactly like the serve
-    workers.
-    """
-    from repro.provenance import lineage_payload
-
-    text, records, inputs = _collect_render(number)
-    return {"text": text, "lineage": lineage_payload(records),
-            "inputs": list(inputs)}
 
 
 #: record kinds the engine's cache entries already carry in their
@@ -172,17 +152,13 @@ def render_table(number: int, engine: Optional[ExperimentEngine] = None) -> str:
 
 def render_all(
     numbers: Optional[Sequence[int]] = None,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
     engine: Optional[ExperimentEngine] = None,
 ) -> Dict[int, str]:
     """Regenerate tables; returns {number: rendered text} in input order.
 
-    ``parallel=True`` fans cache-miss renders across a process pool via
-    :class:`SweepRunner` (falling back to serial where pools are
-    unavailable); results are keyed and ordered by table number either
-    way, so the two modes are observably identical.  Memoized renders
-    are served from the engine without touching the pool.
+    Memoized renders are served from the engine; the rest render in
+    this process, each one's collected lineage persisted to the
+    engine's sidecar.
     """
     numbers = list(ALL_TABLE_NUMBERS if numbers is None else numbers)
     for number in numbers:
@@ -205,27 +181,13 @@ def render_all(
         else:
             missing.append(number)
 
-    if missing:
-        engine.misses += len(missing)
-        if parallel:
-            from repro.provenance import merge_lineage_payload
-
-            runner = SweepRunner(parallel=True, max_workers=max_workers)
-            for number, outcome in zip(missing,
-                                       runner.map(_render_worker, missing)):
-                _persist_records(
-                    merge_lineage_payload(outcome["lineage"]), sink)
-                engine.memo_put(keys[number], outcome["text"])
-                table_records.append(_record_table(
-                    number, fp, outcome["text"], tuple(outcome["inputs"])))
-                out[number] = outcome["text"]
-        else:
-            for number in missing:
-                text, records, inputs = _collect_render(number)
-                _persist_records(records, sink)
-                engine.memo_put(keys[number], text)
-                table_records.append(_record_table(number, fp, text, inputs))
-                out[number] = text
+    engine.misses += len(missing)
+    for number in missing:
+        text, records, inputs = _collect_render(number)
+        _persist_records(records, sink)
+        engine.memo_put(keys[number], text)
+        table_records.append(_record_table(number, fp, text, inputs))
+        out[number] = text
 
     # one sidecar append for the whole sweep's table roots
     if sink is not None:

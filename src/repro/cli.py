@@ -3,7 +3,6 @@
 ::
 
     repro tables                 # print every reproduced table
-    repro --parallel tables      # same, fanned across worker processes
     repro table 1                # one table
     repro report                 # the full reproduction report
     repro claims                 # in-text claims, paper vs measured
@@ -22,7 +21,7 @@
     repro serve run --port 8023               # simulation-as-a-service
     repro serve bench --out BENCH_serve.json  # serving-discipline benchmark
     repro scenario fit --workload andrew-local    # fitted model rate tables
-    repro scenario run --arch r3000 --events 1000000 --seeds 5
+    repro scenario run --arch r3000 --events 1000000 --seeds 5 --jobs 2
     repro scenario sweep --store scen.jsonl   # paired kernelization cost
     repro scenario sweep --frontier trials.jsonl  # price an explore frontier
     repro scenario report --store scen.jsonl  # stored replications
@@ -189,10 +188,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tables(args: argparse.Namespace) -> int:
+def _cmd_tables(_: argparse.Namespace) -> int:
     from repro.analysis.runner import render_all
 
-    tables = render_all(parallel=args.parallel, max_workers=args.jobs)
+    tables = render_all()
     for number in sorted(tables):
         print(tables[number])
         print()
@@ -216,10 +215,10 @@ def _cmd_summary(_: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(_: argparse.Namespace) -> int:
     from repro.core.report import full_report
 
-    print(full_report(parallel=args.parallel, max_workers=args.jobs))
+    print(full_report())
     return 0
 
 
@@ -344,7 +343,6 @@ def _cmd_explore_run(args: argparse.Namespace) -> int:
     runner = ExploreRunner(
         space, schema=schema, strategy=strategy, store=store,
         resume=not args.no_resume, budget=args.budget,
-        parallel=args.parallel, max_workers=args.jobs,
     )
     result = runner.run(seed=args.seed)
     report = render_report(result)
@@ -839,10 +837,13 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
 
 def _scenario_seeds(args: argparse.Namespace) -> List[int]:
     """Replication seeds: explicit list, else ``seed0 .. seed0+N-1``."""
+    from repro.scenarios.runner import check_seeds
+
     if getattr(args, "seed_list", None):
         seeds = [int(s) for s in args.seed_list.split(",") if s.strip()]
         if not seeds:
             raise ValueError("--seed-list parsed to no seeds")
+        check_seeds(seeds)
         return seeds
     return list(range(args.seed0, args.seed0 + args.seeds))
 
@@ -895,8 +896,7 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as err:
         print(err, file=sys.stderr)
         return 2
-    runner = ScenarioRunner(store=args.store, parallel=args.parallel,
-                            max_workers=args.jobs)
+    runner = ScenarioRunner(store=args.store, jobs=args.jobs)
     for index, structure in enumerate(structures):
         model = fit_table7(args.workload, structure)
         result = runner.run(model, spec, structure, seeds, args.events,
@@ -938,7 +938,7 @@ def _cmd_scenario_sweep(args: argparse.Namespace) -> int:
         return 2
     report = kernelization_sweep(
         args.workload, specs, seeds, args.events, window_us=args.window_us,
-        store=args.store, parallel=args.parallel, max_workers=args.jobs)
+        store=args.store, jobs=args.jobs)
     print(render_sweep(report))
     if args.out:
         payload = {
@@ -1012,19 +1012,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Reproduction of Anderson et al., 'The Interaction of "
         "Architecture and Operating System Design' (ASPLOS 1991).",
-    )
-    parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="fan table regeneration across worker processes "
-        "(tables/report; falls back to serial where unavailable)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="worker process count for --parallel (default: cpu count)",
     )
     parser.add_argument(
         "--metrics",
@@ -1469,6 +1456,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replication ResultStore WAL — finished "
                        "replications are reused by content address and "
                        "lineage lands in the sidecar")
+        p.add_argument("--jobs", type=_positive_int, default=1,
+                       metavar="N",
+                       help="worker processes for fresh replications, "
+                       "one seed per task (default: 1)")
 
     scenario_fit = scenario_sub.add_parser(
         "fit", help="fit a workload model and print its rate table")

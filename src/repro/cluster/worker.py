@@ -47,7 +47,6 @@ from repro.explore.space import DesignSpace
 from repro.explore.store import ResultStore, trial_key
 from repro.cluster.leases import space_from_wire
 from repro.provenance import PROV_STATE as _PROV
-from repro.provenance import merge_lineage_payload
 
 
 class ControllerUnreachable(RuntimeError):
@@ -216,8 +215,7 @@ class ClusterWorker:
                     self.stats["skipped"] += 1
                 else:
                     if _PROV.enabled:
-                        merge_lineage_payload(row.get("lineage"),
-                                              sink=store.lineage)
+                        store.lineage.append_many(row["lineage"])
                         record_trial_lineage(space, schema, key, row,
                                              engine_path="engine",
                                              sink=store.lineage)

@@ -20,10 +20,10 @@ treats them as *experiments* addressed by content:
   batched fast path (:func:`repro.core.tracing.replay_trace_batched`),
   which processes whole same-page bursts per TLB probe and is
   bit-identical to the scalar loop.
-* :class:`SweepRunner` fans independent computations (table modules,
-  ablation grids, sensitivity sweeps) across ``concurrent.futures``
-  workers with deterministic result ordering, falling back to serial
-  execution when a pool cannot be created or a task cannot be pickled.
+* :class:`SweepRunner` fans independent computations (the scenario
+  engine's seeded replications) across ``jobs`` ``concurrent.futures``
+  worker processes with deterministic result ordering, falling back to
+  serial execution when no pool can start.
 
 The module-level :func:`default_engine` is what the microbenchmark and
 analysis layers use; tests build private engines.
@@ -342,22 +342,25 @@ def _metrics_task(fn: Callable[[Any], Any], item: Any) -> "tuple[Any, Dict[str, 
 
 
 class SweepRunner:
-    """Deterministically-ordered fan-out over independent computations.
+    """Deterministically-ordered fan-out over ``jobs`` worker processes.
 
     ``map(fn, items)`` behaves like ``[fn(item) for item in items]`` —
     results come back in item order regardless of completion order.
-    With ``parallel=True`` the calls run in a ``concurrent.futures``
-    process pool (``fn`` and items must be picklable); any failure to
-    *create or use* the pool (sandboxed environments, unpicklable
-    work) silently degrades to the serial path, so callers never need
-    two code paths.  Exceptions raised by ``fn`` itself propagate.
+    With ``jobs > 1`` the calls run in a ``concurrent.futures`` process
+    pool of ``min(jobs, len(items))`` workers (``fn`` and items must be
+    picklable).  Where no pool can start (unpicklable work, no POSIX
+    semaphores, fork refused) the map runs serially instead, so callers
+    never need two code paths.  An exception raised by ``fn`` in a
+    worker propagates; no item runs again.
+
+    The scenario seed fan-out is the one multi-process user: a
+    replication takes seconds, which pays for the pool.
     """
 
-    def __init__(self, parallel: bool = True, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        self.parallel = parallel
-        self.max_workers = max_workers
+    def __init__(self, jobs: int = 1) -> None:
+        if jobs < 1:
+            raise ValueError("jobs must be >= 1")
+        self.jobs = jobs
         #: how the last ``map`` actually ran ("serial" | "parallel").
         self.last_mode = "serial"
 
@@ -369,38 +372,40 @@ class SweepRunner:
         across the fan-out: pool workers run with metrics enabled and
         ship their registry snapshot-diffs back, which are merged into
         this process's registry — so ``obs.REGISTRY`` ends up with the
-        same totals whether the sweep ran parallel or degraded to the
-        serial path (where the work writes the registry directly).
+        same totals whether the sweep ran parallel or serial (where the
+        work writes the registry directly).
         """
         items = list(items)
         self.last_mode = "serial"
-        if not self.parallel or len(items) < 2 or (self.max_workers or 2) < 2:
+        workers = min(self.jobs, len(items))
+        if workers < 2:
             return [fn(item) for item in items]
+        import concurrent.futures as cf
+        import pickle
+
+        task: Callable[[T], Any] = (
+            functools.partial(_metrics_task, fn) if collect_metrics else fn)
         try:
-            import concurrent.futures as cf
-            import pickle
-
-            task: Callable[[T], Any] = (
-                functools.partial(_metrics_task, fn) if collect_metrics else fn)
-            pickle.dumps(task)
-            pickle.dumps(items)
-            with cf.ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-                results = list(pool.map(task, items))
-            self.last_mode = "parallel"
-            if collect_metrics:
-                from repro.obs import REGISTRY
-
-                unwrapped: List[R] = []
-                for value, snapshot in results:
-                    REGISTRY.merge(snapshot)
-                    unwrapped.append(value)
-                return unwrapped
-            return results
+            pickle.dumps((task, items))
+            pool = cf.ProcessPoolExecutor(max_workers=workers)
+            # submits every item, which starts the workers
+            pending = pool.map(task, items)
         except Exception:
-            # Pool creation/teardown can fail where fork or POSIX
-            # semaphores are unavailable; fall back rather than export
-            # the platform restriction to every caller.
+            # no pool could start here: unpicklable work, no POSIX
+            # semaphores, or fork refused
             return [fn(item) for item in items]
+        with pool:
+            results = list(pending)
+        self.last_mode = "parallel"
+        if collect_metrics:
+            from repro.obs import REGISTRY
+
+            unwrapped: List[R] = []
+            for value, snapshot in results:
+                REGISTRY.merge(snapshot)
+                unwrapped.append(value)
+            return unwrapped
+        return results
 
 
 # ----------------------------------------------------------------------

@@ -103,16 +103,11 @@ def _summary_section(claims: "Dict[str, intext.Claim]") -> str:
     return render_summary(claims)
 
 
-def full_report(parallel: bool = False, max_workers: "int | None" = None) -> str:
-    """Every table + claim, regenerated live.
-
-    ``parallel`` fans the table regeneration across worker processes
-    through the experiment engine's :class:`~repro.core.engine.SweepRunner`;
-    the output is identical either way.
-    """
+def full_report() -> str:
+    """Every table + claim, regenerated live."""
     from repro.analysis.runner import render_all
 
-    tables = render_all(parallel=parallel, max_workers=max_workers)
+    tables = render_all()
     table_sections: List[str] = []
     for number in sorted(tables):
         table_sections.extend([tables[number], ""])

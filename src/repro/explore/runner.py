@@ -10,15 +10,18 @@ says what points exist, a strategy picks which to visit, and
 * through a :class:`~repro.explore.store.ResultStore`, so evaluations
   survive the process and a restarted search skips what is already
   on disk;
-* fanned across processes by :class:`~repro.core.engine.SweepRunner`
-  when ``parallel=True``, with worker metrics merged back so the
-  cache-hit accounting is identical in either mode;
 * emitting ``repro.obs`` spans (one per trial) and metrics (trials
   evaluated, store hits, engine hit rate, frontier size).
 
+The runner evaluates in this process.  ``repro cluster run`` is how a
+search uses more processes: its workers score leased points through
+:func:`evaluate_point_row`, :func:`trial_record` and
+:func:`record_trial_lineage`, the same path a local search takes.
+
 Results are deterministic given (space, strategy, seed): trial order,
 objective values, and the extracted Pareto frontier are identical
-across runs and across ``--jobs 1`` vs ``--jobs N``.
+across runs, and a one-worker cluster writes the same WAL and lineage
+sidecar bytes as ``explore run``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.engine import SweepRunner, fingerprint_spec
+from repro.core.engine import fingerprint_spec
 from repro.explore.objectives import ObjectiveSchema, evaluate as evaluate_objectives
 from repro.explore.objectives import pareto_indices
 from repro.explore.space import DesignSpace
@@ -41,8 +44,6 @@ from repro.provenance import (
     LineageRecord,
     digest_of,
     get_request_id,
-    lineage_payload,
-    merge_lineage_payload,
 )
 
 
@@ -72,7 +73,6 @@ class ExploreStats:
     engine_hits: int = 0
     engine_misses: int = 0
     frontier_size: int = 0
-    sweep_mode: str = "serial"
 
     @property
     def engine_hit_rate(self) -> float:
@@ -122,12 +122,11 @@ class ExploreResult:
 
 
 def _evaluate_point(args: Tuple[DesignSpace, int, ObjectiveSchema]) -> Dict[str, Any]:
-    """Top-level (picklable) worker: materialize and score one point.
+    """Materialize and score one point.
 
     The lineage records produced while scoring (spec → mdesc → program
-    → execution chains, including cache hits) ride back on the row —
-    like the worker metrics snapshots — so a process-pool sweep loses
-    no provenance.
+    → execution chains, including cache hits) ride back on the row as
+    live objects, for the caller to persist in one sidecar append.
     """
     from repro.arch.mdesc import description_for
 
@@ -135,10 +134,9 @@ def _evaluate_point(args: Tuple[DesignSpace, int, ObjectiveSchema]) -> Dict[str,
     point = space.point(index)
     spec = space.materialize(point)
     if _PROV.enabled:
-        with PROVENANCE.collect() as records:
+        with PROVENANCE.collect() as lineage:
             objectives = evaluate_objectives(spec, schema)
-        lineage = lineage_payload(records)
-        executions = [r.digest for r in records if r.kind == "execution"]
+        executions = [r.digest for r in lineage if r.kind == "execution"]
     else:
         objectives = evaluate_objectives(spec, schema)
         lineage, executions = [], []
@@ -156,9 +154,9 @@ def _evaluate_point(args: Tuple[DesignSpace, int, ObjectiveSchema]) -> Dict[str,
 
 def evaluate_point_row(space: DesignSpace, index: int,
                        schema: ObjectiveSchema) -> Dict[str, Any]:
-    """Score one point and return the row dict (public alias of the
-    sweep worker, used by cluster workers to evaluate leased points
-    through the exact same path a local sweep takes)."""
+    """Score one point and return the row dict (used by cluster
+    workers to evaluate leased points through the exact same path a
+    local search takes)."""
     return _evaluate_point((space, index, schema))
 
 
@@ -233,8 +231,6 @@ class ExploreRunner:
         store: Optional[ResultStore] = None,
         resume: bool = True,
         budget: Optional[int] = None,
-        parallel: bool = False,
-        max_workers: Optional[int] = None,
     ) -> None:
         self.space = space
         self.schema = schema or ObjectiveSchema()
@@ -242,7 +238,6 @@ class ExploreRunner:
         self.store = store if store is not None else ResultStore()
         self.resume = resume
         self.budget = budget
-        self._sweep = SweepRunner(parallel=parallel, max_workers=max_workers)
 
     # ------------------------------------------------------------------
     def run(self, seed: int = 0) -> ExploreResult:
@@ -267,7 +262,6 @@ class ExploreRunner:
         stats.engine_misses = int(_counter_total(window, "engine_cache_misses_total"))
         stats.unique_points = len({t.spec_fingerprint for t in result.trials})
         stats.frontier_size = len(result.frontier())
-        stats.sweep_mode = self._sweep.last_mode
         if _OBS.metrics_on:
             _METRICS.gauge(
                 "explore_frontier_size", "Pareto-frontier size after a search",
@@ -335,30 +329,24 @@ class ExploreRunner:
                 fresh.append(index)
 
         # -- evaluate the rest through the engine ------------------------
-        if fresh:
-            rows = self._sweep.map(
-                _evaluate_point,
-                [(self.space, index, self.schema) for index in fresh],
-                collect_metrics=True,
+        rows = [_evaluate_point((self.space, index, self.schema))
+                for index in fresh]
+        for row in rows:
+            trial = Trial(
+                index=row["index"], point=row["point"], arch_name=row["arch_name"],
+                spec_fingerprint=row["spec_fp"], mdesc_fingerprint=row["mdesc_fp"],
+                objectives=row["objectives"], source="engine", generation=generation,
             )
-            for row in rows:
-                trial = Trial(
-                    index=row["index"], point=row["point"], arch_name=row["arch_name"],
-                    spec_fingerprint=row["spec_fp"], mdesc_fingerprint=row["mdesc_fp"],
-                    objectives=row["objectives"], source="engine", generation=generation,
-                )
-                trials_by_index[trial.index] = trial
-                if _PROV.enabled:
-                    # Worker-produced records (possibly from another
-                    # process) re-enter the local recorder + sidecar,
-                    # then the trial node itself links them.
-                    merge_lineage_payload(row.get("lineage"),
-                                          sink=self.store.lineage)
-                    self._record_trial(
-                        keys[trial.index], trial, engine_path="engine",
-                        executions=tuple(row.get("executions") or ()))
-                self.store.put(keys[trial.index],
-                               trial_record(self.space, self.schema, row))
+            trials_by_index[trial.index] = trial
+            if _PROV.enabled:
+                # the evaluation's records, then the trial node linking them
+                if self.store.lineage is not None:
+                    self.store.lineage.append_many(row["lineage"])
+                self._record_trial(
+                    keys[trial.index], trial, engine_path="engine",
+                    executions=tuple(row["executions"]))
+            self.store.put(keys[trial.index],
+                           trial_record(self.space, self.schema, row))
 
         # -- record, in the strategy's requested order -------------------
         ordered = [trials_by_index[index] for index in indices]

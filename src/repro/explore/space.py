@@ -259,8 +259,8 @@ def baseline_spec() -> ArchSpec:
 
 
 #: space -> {point_id: spec}.  Weakly keyed so ad-hoc spaces built by
-#: tests do not accumulate; lives outside the dataclass so pickled
-#: spaces (parallel sweeps) never ship their materialized specs.
+#: tests do not accumulate; lives outside the frozen dataclass so the
+#: materialized specs are no part of a space's value.
 _MATERIALIZE_CACHE: "weakref.WeakKeyDictionary[DesignSpace, Dict[str, ArchSpec]]" = (
     weakref.WeakKeyDictionary())
 

@@ -9,9 +9,9 @@ its cache entries, and its provenance chain.
 
 A :mod:`contextvars` variable covers the asyncio side, but
 ``loop.run_in_executor`` does *not* propagate context into pool
-threads and ``SweepRunner`` may hop processes — so the id also rides
-explicitly on batch items, and workers re-enter it with
-:func:`set_request_id` before touching the engine.
+threads — so the id also rides explicitly on batch items, and pool
+threads re-enter it with :func:`set_request_id` before touching the
+engine.
 """
 
 from __future__ import annotations

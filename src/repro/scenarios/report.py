@@ -92,8 +92,7 @@ def specs_from_frontier(store_path: str, schema=None) -> List[ArchSpec]:
 def kernelization_sweep(
         workload: str, specs: Sequence[ArchSpec], seeds: Sequence[int],
         events: int, window_us: float = DEFAULT_WINDOW_US,
-        store=None, parallel: bool = False,
-        max_workers: Optional[int] = None,
+        store=None, jobs: int = 1,
         models: "Optional[Tuple[WorkloadModel, WorkloadModel]]" = None,
         ) -> SweepReport:
     """Kernelization cost of every spec under one workload.
@@ -109,7 +108,7 @@ def kernelization_sweep(
     for spec in specs:
         report.results.append(run_kernelization(
             models, spec, seeds, events, window_us=window_us,
-            store=store, parallel=parallel, max_workers=max_workers))
+            store=store, jobs=jobs))
     return report
 
 

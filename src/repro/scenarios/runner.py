@@ -19,10 +19,11 @@ Integration with the rest of the stack:
   segment), so a resumed or re-swept scenario skips finished
   replications and per-worker WALs merge exactly-once through
   :func:`~repro.explore.store.merge_result_stores`;
-* fresh replications fan out through
-  :class:`~repro.core.engine.SweepRunner` (process pool, metric
+* with ``jobs > 1`` fresh replications fan out over that many worker
+  processes through :class:`~repro.core.engine.SweepRunner` (metric
   snapshots merged back), sharded **by seed** — the same deterministic
-  seed-shard plan :func:`shard_seeds` gives ``repro.cluster`` workers;
+  seed-shard plan :func:`shard_seeds` gives ``repro.cluster`` workers.
+  A replication takes seconds, which pays for the pool;
 * every replication records provenance (model → replication chain,
   aggregate digest as the result digest) into the store's lineage
   sidecar, and emits obs spans/metrics for generation + evaluation.
@@ -33,8 +34,9 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.arch.specs import ArchSpec
 from repro.core.engine import SweepRunner, fingerprint_spec
@@ -91,6 +93,24 @@ def shard_seeds(seeds: Sequence[int], shards: int) -> List[List[int]]:
     for position, seed in enumerate(seeds):
         plan[position % shards].append(seed)
     return [shard for shard in plan if shard]
+
+
+def check_seeds(seeds: Sequence[int]) -> None:
+    """Reject an empty or repeated seed list.
+
+    A repeated seed replays an identical stream: counted as an
+    independent sample, it narrows the confidence interval without
+    adding information, and the paired kernelization cost pairs it
+    again.
+    """
+    if not seeds:
+        raise ValueError("a scenario needs at least one seed")
+    repeated = sorted(seed for seed, n in Counter(seeds).items() if n > 1)
+    if repeated:
+        raise ValueError(
+            "duplicate scenario seeds "
+            + ", ".join(str(seed) for seed in repeated)
+            + ": each replication needs its own seed")
 
 
 # ----------------------------------------------------------------------
@@ -262,28 +282,26 @@ class ScenarioRunner:
     ``store`` is an optional :class:`~repro.explore.store.ResultStore`
     (or path): finished replications are read back by key instead of
     re-streamed — the replication-reuse path the bench pins.  With
-    ``parallel=True`` fresh seeds fan out through a
-    :class:`~repro.core.engine.SweepRunner` process pool, one task per
-    seed (the degenerate one-seed-per-shard plan of
+    ``jobs > 1`` fresh seeds fan out over up to ``jobs`` worker
+    processes through a :class:`~repro.core.engine.SweepRunner`, one
+    task per seed (the degenerate one-seed-per-shard plan of
     :func:`shard_seeds`).
     """
 
-    def __init__(self, store=None, parallel: bool = False,
-                 max_workers: Optional[int] = None) -> None:
+    def __init__(self, store=None, jobs: int = 1) -> None:
         from repro.explore.store import ResultStore
 
         if isinstance(store, str):
             store = ResultStore(store)
         self.store = store
-        self._sweep = SweepRunner(parallel=parallel, max_workers=max_workers)
+        self._sweep = SweepRunner(jobs=jobs)
 
     # ------------------------------------------------------------------
     def run(self, model: WorkloadModel, spec: ArchSpec,
             structure: OSStructure, seeds: Sequence[int], events: int,
             window_us: float = DEFAULT_WINDOW_US) -> ScenarioResult:
         """All replications of (model, spec, structure) over ``seeds``."""
-        if not seeds:
-            raise ValueError("a scenario needs at least one seed")
+        check_seeds(seeds)
         spec_fp = fingerprint_spec(spec)
         from repro.arch.mdesc import description_for
 
@@ -461,13 +479,11 @@ class KernelizationResult:
 def run_kernelization(models: "Tuple[WorkloadModel, WorkloadModel]",
                       spec: ArchSpec, seeds: Sequence[int], events: int,
                       window_us: float = DEFAULT_WINDOW_US,
-                      store=None, parallel: bool = False,
-                      max_workers: Optional[int] = None,
+                      store=None, jobs: int = 1,
                       ) -> KernelizationResult:
     """Both structures of one workload on one architecture, paired."""
     monolithic_model, kernelized_model = models
-    runner = ScenarioRunner(store=store, parallel=parallel,
-                            max_workers=max_workers)
+    runner = ScenarioRunner(store=store, jobs=jobs)
     return KernelizationResult(
         workload=monolithic_model.name, arch_name=spec.name,
         monolithic=runner.run(monolithic_model, spec,

@@ -98,7 +98,7 @@ class ServeApp:
             self._dispatch_batch, max_batch=self.config.max_batch)
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.workers, thread_name_prefix="serve-worker")
-        self._sweep = SweepRunner(parallel=False)
+        self._sweep = SweepRunner()
         #: perf_counter origin for request spans (serve-local timeline).
         self._epoch = time.perf_counter()
         self._closed = False

@@ -7,6 +7,10 @@ and prove the SweepRunner's parallel fan-out is observably equal to the
 serial loop.
 """
 
+import concurrent.futures
+import functools
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -82,7 +86,7 @@ def test_property_batched_replay_bit_identical(
 # ----------------------------------------------------------------------
 
 def test_sweeprunner_preserves_item_order():
-    serial = SweepRunner(parallel=False)
+    serial = SweepRunner()
     assert serial.map(_square, [3, 1, 2]) == [9, 1, 4]
     assert serial.last_mode == "serial"
 
@@ -93,13 +97,14 @@ def _square(x):
 
 def test_sweeprunner_parallel_equals_serial():
     items = list(range(12))
-    serial = SweepRunner(parallel=False).map(_square, items)
-    parallel_runner = SweepRunner(parallel=True, max_workers=2)
+    serial = SweepRunner().map(_square, items)
+    parallel_runner = SweepRunner(jobs=2)
     assert parallel_runner.map(_square, items) == serial
+    assert parallel_runner.last_mode == "parallel"
 
 
 def test_sweeprunner_falls_back_on_unpicklable_work():
-    runner_ = SweepRunner(parallel=True, max_workers=2)
+    runner_ = SweepRunner(jobs=2)
     out = runner_.map(lambda x: x + 1, [1, 2, 3])  # lambdas cannot pickle
     assert out == [2, 3, 4]
     assert runner_.last_mode == "serial"
@@ -107,15 +112,54 @@ def test_sweeprunner_falls_back_on_unpicklable_work():
 
 def test_sweeprunner_rejects_bad_worker_count():
     with pytest.raises(ValueError):
-        SweepRunner(max_workers=0)
+        SweepRunner(jobs=0)
 
 
-def test_render_all_parallel_equals_serial_table_by_table():
-    serial = runner.render_all(engine=ExperimentEngine())
-    parallel = runner.render_all(parallel=True, engine=ExperimentEngine())
-    assert sorted(serial) == sorted(parallel) == list(runner.ALL_TABLE_NUMBERS)
-    for number in runner.ALL_TABLE_NUMBERS:
-        assert parallel[number] == serial[number], f"table {number} diverged"
+def _logged_square(log_path, x):
+    with open(log_path, "a") as fh:
+        fh.write(f"{os.getpid()} {x}\n")
+    if x == 3:
+        raise ValueError("item 3 failed")
+    return x * x
+
+
+def test_sweeprunner_worker_error_propagates_without_rerun(tmp_path):
+    """An error raised by fn in a worker reaches the caller; nothing is
+    re-run serially in this process, and no item runs twice."""
+    log = tmp_path / "calls.log"
+    with pytest.raises(ValueError, match="item 3 failed"):
+        SweepRunner(jobs=2).map(
+            functools.partial(_logged_square, str(log)), range(6))
+    calls = [line.split() for line in log.read_text().splitlines()]
+    items = [int(item) for _, item in calls]
+    assert 3 in items
+    assert len(items) == len(set(items))
+    assert str(os.getpid()) not in {pid for pid, _ in calls}
+
+
+def test_sweeprunner_starts_at_most_one_worker_per_item(monkeypatch):
+    """The pool is sized min(jobs, len(items)); a recording stand-in for
+    ProcessPoolExecutor checks that without starting a process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, items):
+            return iter([fn(item) for item in items])
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert SweepRunner(jobs=64).map(_square, [1, 2, 3]) == [1, 4, 9]
+    assert SweepRunner(jobs=2).map(_square, range(5)) == [0, 1, 4, 9, 16]
+    assert SweepRunner(jobs=64).map(_square, [7]) == [49]  # one item: no pool
+    assert sizes == [3, 2]
 
 
 def test_render_all_memoizes_under_one_engine():

@@ -1,8 +1,7 @@
 """ExploreRunner: evaluation, resume, telemetry, and determinism.
 
-Includes the satellite determinism contract: same seed + same space
-yields the identical trial sequence and frontier across two runs and
-across ``--jobs 1`` vs ``--jobs 4``.
+Includes the determinism contract: same seed + same space yields the
+identical trial sequence and frontier across two runs.
 """
 
 import pytest
@@ -92,21 +91,6 @@ def test_same_seed_identical_across_runs(fresh_engine):
             == [t.spec_fingerprint for t in runs[1].frontier()])
     assert ([t.objectives for t in runs[0].trials]
             == [t.objectives for t in runs[1].trials])
-
-
-@pytest.mark.parametrize("strategy", ["grid", "random", "halving"])
-def test_serial_and_parallel_agree(fresh_engine, strategy):
-    """--jobs 1 vs --jobs 4: identical trial sequence and frontier."""
-    serial = _run(strategy=make_strategy(strategy, 6), seed=3,
-                  store=ResultStore(), parallel=False)
-    parallel = _run(strategy=make_strategy(strategy, 6), seed=3,
-                    store=ResultStore(), parallel=True, max_workers=4)
-    assert ([t.index for t in serial.trials]
-            == [t.index for t in parallel.trials])
-    assert ([t.objectives for t in serial.trials]
-            == [t.objectives for t in parallel.trials])
-    assert ([t.spec_fingerprint for t in serial.frontier()]
-            == [t.spec_fingerprint for t in parallel.frontier()])
 
 
 def test_run_emits_metrics(fresh_engine):

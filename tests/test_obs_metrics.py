@@ -185,7 +185,7 @@ def test_sweep_runner_aggregates_metrics(parallel):
     obs.enable_metrics()
     try:
         before = obs.REGISTRY.snapshot()
-        runner = SweepRunner(parallel=parallel, max_workers=2)
+        runner = SweepRunner(jobs=2 if parallel else 1)
         results = runner.map(_sweep_work, [1, 2, 3, 4], collect_metrics=True)
         assert results == [2, 4, 6, 8]
         diff = snapshot_diff(before, obs.REGISTRY.snapshot())
@@ -197,5 +197,5 @@ def test_sweep_runner_aggregates_metrics(parallel):
 
 def test_sweep_runner_without_collection_leaves_registry_alone():
     before = obs.REGISTRY.snapshot()
-    SweepRunner(parallel=False).map(lambda n: n, [1, 2, 3])
+    SweepRunner().map(lambda n: n, [1, 2, 3])
     assert obs.REGISTRY.snapshot() == before

@@ -227,3 +227,13 @@ def test_cli_scenario_seed_list(capsys):
     assert code == 0
     seeds = [line.split()[1] for line in out.strip().splitlines()]
     assert seeds == ["5", "9"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_scenario_rejects_duplicate_seeds(capsys, command):
+    extra = ("--arch", "r3000", "--structure", "mach2.5") if command == "run" else ()
+    code, out, err = run(capsys, "scenario", command, *extra,
+                         "--seed-list", "1,1,1,2", "--events", "3000")
+    assert code == 2
+    assert "duplicate scenario seeds 1" in err
+    assert out == ""

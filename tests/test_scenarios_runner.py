@@ -244,10 +244,20 @@ def test_runner_parallel_matches_serial(tmp_path):
     spec = get_arch("r3000")
     serial = ScenarioRunner().run(model, spec, OSStructure.MONOLITHIC,
                                   seeds=[0, 1, 2], events=1_500)
-    parallel = ScenarioRunner(parallel=True, max_workers=2).run(
+    parallel = ScenarioRunner(jobs=2).run(
         model, spec, OSStructure.MONOLITHIC, seeds=[0, 1, 2], events=1_500)
     assert [r["aggregate_digest"] for r in parallel.records] == \
         [r["aggregate_digest"] for r in serial.records]
+    assert parallel.stats.sweep_mode == "parallel"
+
+
+def test_runner_rejects_duplicate_seeds():
+    """A repeated seed replays an identical stream; counting it again
+    would narrow the interval without adding a sample."""
+    model = fit_table7("spellcheck-1", OSStructure.MONOLITHIC)
+    with pytest.raises(ValueError, match="duplicate scenario seeds 1, 3"):
+        ScenarioRunner().run(model, get_arch("r3000"), OSStructure.MONOLITHIC,
+                             seeds=[1, 3, 1, 2, 3], events=1_500)
 
 
 def test_runner_records_lineage(tmp_path):
