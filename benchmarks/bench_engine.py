@@ -6,8 +6,8 @@ Four timings bracket the engine's value:
 * warm — the same engine regenerates them from the content-addressed
   cache (this is the trajectory number ``scripts/perf_report.py``
   snapshots into ``BENCH_engine.json``);
-* batched replay — the burst-schedule TLB replay against the scalar
-  reference loop;
+* batched replay — the fill-order TLB replay (one dict probe per
+  same-page run) against the scalar reference loop;
 * compiled cold grid — the full executor workload of a cold
   mechanisms-grid sweep through the compiled batch path against the
   interpreter (the ``compiled_cold_grid`` snapshot number).
@@ -77,7 +77,7 @@ def bench_engine_memoized_run(benchmark, show):
 
 
 def bench_replay_batched(benchmark, show):
-    """Burst-schedule trace replay; pinned bit-identical to scalar."""
+    """Fill-order trace replay, one dict probe per run; pinned to scalar."""
     tlb = get_arch("cvax").tlb
     config = TraceConfig()
     scalar = replay_trace(tlb, config)
@@ -86,7 +86,7 @@ def bench_replay_batched(benchmark, show):
     assert stats == scalar
     show("Engine: batched replay",
          f"{stats.references:,} references, {stats.misses:,} misses "
-         "(bit-identical to the scalar loop)")
+         "(the same stats as the scalar TLB loop)")
 
 
 def bench_replay_scalar_reference(benchmark, show):

@@ -23,6 +23,14 @@ from repro.scenarios import (
 EVENTS = 50_000
 
 
+def _rate(benchmark, count, unit):
+    """`` (N unit/s)`` over the timed rounds; empty when timing is off
+    (``--benchmark-disable`` leaves ``benchmark.stats`` None)."""
+    if benchmark.stats is None:
+        return ""
+    return f" ({count / benchmark.stats.stats.mean:,.0f} {unit}/s)"
+
+
 def bench_scenario_event_stream(benchmark, show):
     """Pure generation: merged renewal processes off the k-entry heap."""
     model = fit_table7("andrew-local", OSStructure.KERNELIZED)
@@ -35,10 +43,9 @@ def bench_scenario_event_stream(benchmark, show):
 
     count = benchmark(drain)
     assert count == EVENTS
-    rate = EVENTS / benchmark.stats.stats.mean
     show("Scenarios: event generation",
          f"{EVENTS} events/round from {len(model.kinds())} merged renewal "
-         f"processes ({rate:,.0f} events/s)")
+         f"processes{_rate(benchmark, EVENTS, 'events')}")
 
 
 def bench_scenario_replication_cold(benchmark, show):
@@ -49,10 +56,9 @@ def bench_scenario_replication_cold(benchmark, show):
     row = benchmark(run_replication, model, spec,
                     OSStructure.KERNELIZED, 0, EVENTS)
     assert row["aggregate"]["events"] == EVENTS
-    rate = EVENTS / benchmark.stats.stats.mean
     show("Scenarios: cold replication (generate + cost + sketch)",
-         f"{EVENTS} events/replication on r3000/mach3.0 "
-         f"({rate:,.0f} events/s); OS share "
+         f"{EVENTS} events/replication on r3000/mach3.0"
+         f"{_rate(benchmark, EVENTS, 'events')}; OS share "
          f"{row['aggregate']['os_share']:.3f} vs closed-form "
          f"{row['expected_os_share']:.3f}")
 
@@ -74,10 +80,11 @@ def bench_scenario_replication_reuse(benchmark, show, tmp_path):
     result = benchmark(reread)
     assert result.stats.store_hits == len(seeds)
     assert result.stats.fresh == 0
+    timing = ("" if benchmark.stats is None
+              else f" in {benchmark.stats.stats.mean * 1e3:.1f} ms")
     show("Scenarios: replication reuse",
          f"{len(seeds)} x {EVENTS}-event replications answered from the "
-         f"content-addressed store in {benchmark.stats.stats.mean * 1e3:.1f} ms "
-         "(store open included)")
+         f"content-addressed store{timing} (store open included)")
 
 
 def bench_scenario_sketch_update(benchmark, show):
@@ -95,8 +102,7 @@ def bench_scenario_sketch_update(benchmark, show):
 
     count = benchmark(fold)
     assert count == EVENTS
-    rate = EVENTS / benchmark.stats.stats.mean
     show("Scenarios: OnlineAggregate fold",
-         f"{EVENTS} observations/round through Welford + P2 windows "
-         f"({rate:,.0f} obs/s, "
-         f"{agg_holder['agg'].window_utilization.count} windows closed)")
+         f"{EVENTS} observations/round through Welford + P2 windows"
+         f"{_rate(benchmark, EVENTS, 'obs')} "
+         f"({agg_holder['agg'].window_utilization.count} windows closed)")

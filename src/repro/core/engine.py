@@ -17,9 +17,9 @@ treats them as *experiments* addressed by content:
   results are rehydrated on every hit, so callers may mutate what they
   receive without corrupting the cache.
 * :meth:`ExperimentEngine.replay` routes trace replays through the
-  batched fast path (:func:`repro.core.tracing.replay_trace_batched`),
-  which processes whole same-page bursts per TLB probe and is
-  bit-identical to the scalar loop.
+  fill-order fast path (:func:`repro.core.tracing.replay_trace_batched`),
+  which decides each same-page run with one dict probe instead of a
+  TLB object; differential tests pin its stats to the scalar loop.
 * :class:`SweepRunner` fans independent computations (the scenario
   engine's seeded replications) across ``jobs`` ``concurrent.futures``
   worker processes with deterministic result ordering, falling back to
@@ -854,8 +854,9 @@ class ExperimentEngine:
     def replay(self, tlb_spec: TLBSpec, config: "TraceConfig | None" = None) -> "TraceStats":
         """Replay a synthetic trace through a TLB, memoized and batched.
 
-        Uses the burst-schedule fast path, which differential tests pin
-        as bit-identical to the scalar :func:`repro.core.tracing.replay_trace`.
+        Uses the fill-order fast path, whose :class:`TraceStats`
+        differential tests pin to the scalar
+        :func:`repro.core.tracing.replay_trace` through the real TLB.
         """
         from repro.core.tracing import TraceConfig
 

@@ -14,15 +14,20 @@ This module builds deterministic synthetic reference traces with
 distinct user/system locality profiles (applications loop over a small
 working set; kernels wander over many contexts' data with poor reuse),
 and replays them through the TLB model to reproduce both facts.
+:func:`replay_trace` drives the real :class:`~repro.mem.tlb.TLB` one
+reference at a time and is the oracle; :func:`replay_trace_batched`,
+the production path, replays one same-page run at a time by the TLB's
+fill order alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Dict, Iterator, Tuple
 
 from repro.arch.specs import ArchSpec, TLBSpec
-from repro.mem.tlb import TLB
+from repro.mem.tlb import TLB, misses_counter, refills_counter
+from repro.obs import OBS_STATE as _OBS
 
 
 @dataclass(frozen=True)
@@ -143,9 +148,10 @@ def generate_trace(config: TraceConfig) -> Iterator[Tuple[int, bool]]:
 def replay_trace(tlb_spec: TLBSpec, config: TraceConfig = TraceConfig()) -> TraceStats:
     """Replay a synthetic trace through a TLB; returns the §1 stats.
 
-    This is the scalar reference implementation: one TLB probe per
-    reference.  :func:`replay_trace_batched` is the production path —
-    differential tests pin the two as bit-identical.
+    This is the scalar reference implementation: one probe of the real
+    :class:`~repro.mem.tlb.TLB` per reference.  It is the oracle for
+    :func:`replay_trace_batched`, the production path; differential
+    tests require the two to return equal :class:`TraceStats`.
     """
     tlb = TLB(tlb_spec)
     stats = TraceStats()
@@ -164,66 +170,77 @@ def replay_trace(tlb_spec: TLBSpec, config: TraceConfig = TraceConfig()) -> Trac
     return stats
 
 
-def iter_trace_runs(config: TraceConfig) -> Iterator[Tuple[int, int, bool]]:
-    """Yield (vpn, run_length, is_system) bursts of :func:`generate_trace`.
-
-    Expanding each run back into ``run_length`` identical references
-    reproduces the scalar trace exactly (the interleaving comes from the
-    same :func:`_burst_plan`); the final run is truncated to honor
-    ``config.references``.
-    """
-    emitted = 0
-    user_page = 0
-    system_page = 0
-    step, sys_bursts, usr_bursts = _burst_plan(config)
-    system_burst = config.system_run_length
-    user_burst = config.user_run_length
-
-    while emitted < config.references:
-        for _ in range(usr_bursts):
-            if emitted >= config.references:
-                return
-            run = min(user_burst, config.references - emitted)
-            yield user_page % config.user_working_set_pages, run, False
-            emitted += run
-            user_page += 1
-        for _ in range(sys_bursts):
-            if emitted >= config.references:
-                return
-            run = min(system_burst, config.references - emitted)
-            vpn = _SYSTEM_PAGE_BASE + (system_page % config.system_working_set_pages)
-            yield vpn, run, True
-            emitted += run
-            system_page = (system_page + step) % max(1, config.system_working_set_pages)
-
-
 def replay_trace_batched(tlb_spec: TLBSpec, config: TraceConfig = TraceConfig()) -> TraceStats:
-    """Burst-schedule fast path for :func:`replay_trace`.
+    """Fill-order fast path for :func:`replay_trace`: one dict probe per run.
 
-    Within one run every reference targets the same page, and no TLB
-    entry is inserted or evicted between them — so the first probe
-    decides hit-or-miss for the whole run and the remaining
-    ``run_length - 1`` probes are guaranteed hits.  The replay
-    therefore probes once per *run* instead of once per *reference*,
-    charging the run's reference count in bulk.  The returned
-    :class:`TraceStats` and the final TLB contents are bit-identical to
-    the scalar path; only the TLB object's internal per-probe hit
-    counters (not part of the result) are skipped.
+    Two facts make a run of same-page references cost one probe, and
+    the probe cost one dict lookup instead of a :class:`TLB`:
+
+    * within a run every reference targets one page and nothing is
+      inserted or evicted between them, so the first reference decides
+      hit-or-miss for the whole run and the rest are hits;
+    * the replay never locks an entry and runs in one address space, so
+      the PID tag plays no part and the TLB's round-robin victim pointer
+      advances exactly once per miss: miss *k* fills slot *k* mod *E*
+      (*E* = ``tlb_spec.entries``) and miss *k* + *E* overwrites it.  A
+      page therefore hits if, and only if, the miss that last filled it
+      is among the last *E* misses.
+
+    The replay keeps one dict (vpn -> index of the miss that last filled
+    it) and a miss counter, walks the :func:`_burst_plan` schedule of
+    :func:`generate_trace` run by run, and returns the same
+    :class:`TraceStats` as the scalar loop (pinned by differential
+    tests over every registered TLB and a property grid of TLB specs
+    and trace shapes).  With metrics on it charges the
+    ``tlb_misses_total``/``tlb_refills_total`` cells the scalar loop
+    would, one per miss by mode.
     """
-    tlb = TLB(tlb_spec)
-    stats = TraceStats()
-    for vpn, run, is_system in iter_trace_runs(config):
-        if is_system:
-            stats.system_references += run
-        else:
-            stats.user_references += run
-        entry = tlb.lookup(vpn, kernel=is_system)
-        if entry is None:
-            if is_system:
-                stats.system_misses += 1
-            else:
-                stats.user_misses += 1
-            tlb.insert(vpn, vpn, kernel=is_system)
+    step, sys_bursts, usr_bursts = _burst_plan(config)
+    entries = tlb_spec.entries
+    user_pages = config.user_working_set_pages
+    system_pages = config.system_working_set_pages
+    user_burst = config.user_run_length
+    system_burst = config.system_run_length
+    last_fill: Dict[int, int] = {}
+    misses = user_misses = user_references = 0
+    left = config.references
+    user_page = system_page = 0
+    while left > 0:
+        for _ in range(usr_bursts):
+            if left <= 0:
+                break
+            run = min(user_burst, left)
+            left -= run
+            user_references += run
+            vpn = user_page % user_pages
+            user_page += 1
+            filled = last_fill.get(vpn)
+            if filled is None or misses - filled > entries:
+                last_fill[vpn] = misses
+                misses += 1
+                user_misses += 1
+        for _ in range(sys_bursts):
+            if left <= 0:
+                break
+            left -= system_burst
+            vpn = _SYSTEM_PAGE_BASE + system_page
+            system_page = (system_page + step) % system_pages
+            filled = last_fill.get(vpn)
+            if filled is None or misses - filled > entries:
+                last_fill[vpn] = misses
+                misses += 1
+    stats = TraceStats(
+        user_references=user_references,
+        system_references=config.references - user_references,
+        user_misses=user_misses,
+        system_misses=misses - user_misses,
+    )
+    if _OBS.metrics_on:
+        for mode, count in (("user", stats.user_misses),
+                            ("kernel", stats.system_misses)):
+            if count:
+                misses_counter().inc(count, mode=mode)
+                refills_counter().inc(count, mode=mode)
     return stats
 
 

@@ -25,7 +25,17 @@ from typing import Dict, List, Optional, Tuple
 from repro.arch.specs import TLBSpec
 from repro.mem.pagetable import Protection
 from repro.obs import OBS_STATE as _OBS
-from repro.obs.metrics import REGISTRY as _METRICS
+from repro.obs.metrics import REGISTRY as _METRICS, Counter
+
+
+def misses_counter() -> Counter:
+    """``tlb_misses_total``: lookup misses, labelled by mode."""
+    return _METRICS.counter("tlb_misses_total", "TLB lookup misses by mode")
+
+
+def refills_counter() -> Counter:
+    """``tlb_refills_total``: entry insertions, labelled by mode."""
+    return _METRICS.counter("tlb_refills_total", "TLB entry insertions (refills)")
 
 
 @dataclass
@@ -95,9 +105,7 @@ class TLB:
             self.stats.user_misses += 1
         self.stats.miss_cycles += self.miss_cost(kernel=kernel)
         if _OBS.metrics_on:
-            _METRICS.counter(
-                "tlb_misses_total", "TLB lookup misses by mode",
-            ).inc(mode="kernel" if kernel else "user")
+            misses_counter().inc(mode="kernel" if kernel else "user")
         return None
 
     def probe(self, vpn: int, asid: Optional[int] = None) -> Optional[TLBEntry]:
@@ -150,9 +158,7 @@ class TLB:
         self._slots[slot] = entry
         self._index[key] = slot
         if _OBS.metrics_on:
-            _METRICS.counter(
-                "tlb_refills_total", "TLB entry insertions (refills)",
-            ).inc(mode="kernel" if kernel else "user")
+            refills_counter().inc(mode="kernel" if kernel else "user")
         return entry
 
     def invalidate(self, vpn: int, asid: Optional[int] = None) -> bool:
