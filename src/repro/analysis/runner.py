@@ -75,12 +75,12 @@ def _persist_records(records, sink) -> None:
             sink.append_many(extra)
 
 
-#: (number, registry_fp) -> (text, last merged record).  The record's
+#: (number, registry_fp) -> (text, last recorded record).  The record's
 #: digests are pure functions of (number, fp, text); the stored text is
 #: compared on every use, so a render that ever produced different
 #: bytes under the same key re-hashes instead of lying.  Re-sightings
-#: re-record the identical object, which the recorder recognizes by
-#: identity.
+#: re-record the identical object, so a warm hit keeps naming the
+#: request that produced the table.
 _TABLE_DIGEST_MEMO: "Dict[Tuple[int, str], Tuple[str, Any]]" = {}
 
 
@@ -92,10 +92,10 @@ def _record_table(number: int, fp: str, text: str,
     execution inputs and the current request id, while a memoized
     re-render (no inputs) re-records the memoized record unchanged, so
     the node keeps naming the request that produced it and a warm hit
-    writes nothing to the sidecar, while collect scopes (e.g. the
-    serve layer) still observe the table root.  Returns the merged
-    record (or ``None`` with provenance off) so ``render_all`` can
-    batch the sidecar appends of a whole sweep into one write.
+    writes nothing to the sidecar, while any active collect scope
+    still observes the table root.  Returns the record (or ``None``
+    with provenance off) so ``render_all`` can batch the sidecar
+    appends of a whole sweep into one write.
     """
     from repro.provenance import (
         PROV_STATE,
@@ -124,9 +124,9 @@ def _record_table(number: int, fp: str, text: str,
             meta={"number": number, "registry_fp": fp})
     if len(_TABLE_DIGEST_MEMO) > 64:
         _TABLE_DIGEST_MEMO.clear()
-    merged = PROVENANCE.record(record, sink=sink)
-    _TABLE_DIGEST_MEMO[(number, fp)] = (text, merged)
-    return merged
+    PROVENANCE.record(record, sink=sink)
+    _TABLE_DIGEST_MEMO[(number, fp)] = (text, record)
+    return record
 
 
 def render_table(number: int, engine: Optional[ExperimentEngine] = None) -> str:

@@ -149,7 +149,9 @@ def measure_primitives(arch: ArchSpec) -> MicrobenchResult:
 
     from repro.core.engine import default_engine
 
-    rows = default_engine().run_many(arch, measurement_jobs(arch))
+    engine = default_engine()
+    rows = [engine.run(arch, program, drain_write_buffer=drain)
+            for program, drain in measurement_jobs(arch)]
 
     result.direct_times_us = {
         Primitive.NULL_SYSCALL: rows[0].time_us,

@@ -17,7 +17,7 @@ return-from-exception instruction counts as one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Hashable, Mapping
+from typing import TYPE_CHECKING, Callable, Dict, Hashable
 
 from repro.isa.instructions import Instruction, OpClass
 from repro.isa.program import Program
@@ -228,8 +228,3 @@ class Executor:
 def run_on(arch: "ArchSpec", program: Program, drain_write_buffer: bool = False) -> ExecutionResult:
     """Convenience one-shot execution."""
     return Executor(arch).run(program, drain_write_buffer=drain_write_buffer)
-
-
-def merge_results(results: Mapping[str, ExecutionResult]) -> Dict[str, float]:
-    """Collapse several results into a {label: time_us} mapping."""
-    return {label: result.time_us for label, result in results.items()}

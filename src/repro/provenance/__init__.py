@@ -8,10 +8,11 @@ the measurement context (schema/code version, engine path, fallback
 reason, request id).  See ``docs/PROVENANCE.md`` for the model and
 ``repro lineage --help`` for the CLI.
 
-Recording is on by default and costs well under the pinned 2% on cold
-engine runs (``benchmarks/bench_obs.py``); ``REPRO_PROVENANCE=0`` or
-:func:`set_provenance_enabled` turns it off, which also skips the
-staleness check on cache hits.
+Recording is on by default.  ``benchmarks/bench_obs.py`` gates its
+cost on cold table renders at 2%, taking the best of up to five
+attempts (``docs/PROVENANCE.md``, "Cost", gives the measured spread).
+``REPRO_PROVENANCE=0`` or :func:`set_provenance_enabled` turns it off,
+which also skips the staleness check on cache hits.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.provenance.context import (
     set_request_id,
 )
 from repro.provenance.graph import (
-    DERIVED_KINDS,
     LINEAGE_SCHEMA_VERSION,
     UNKNOWN_KIND,
     LineageGraph,
@@ -72,7 +72,6 @@ def collect():
 
 
 __all__ = [
-    "DERIVED_KINDS",
     "LINEAGE_SCHEMA_VERSION",
     "UNKNOWN_KIND",
     "LineageGraph",

@@ -3,13 +3,12 @@
 Every artifact the pipeline produces — an architecture spec, its
 derived machine description, a handler instruction stream, an
 :class:`~repro.isa.executor.ExecutionResult`, an explore trial, a
-rendered table, a Pareto frontier, a served HTTP request — is named by
-a digest the engine already computes for cache addressing.  A
-:class:`LineageRecord` makes the edges between those digests explicit:
-``inputs`` lists the upstream artifact digests a node was derived
-from, and the scalar fields carry the measurement context the paper's
-numbers depend on (schema/code version, engine path, fallback reason,
-request id).
+rendered table, a Pareto frontier — is named by a digest the engine
+already computes for cache addressing.  A :class:`LineageRecord` makes
+the edges between those digests explicit: ``inputs`` lists the
+upstream artifact digests a node was derived from, and the scalar
+fields carry the measurement context the paper's numbers depend on
+(schema/code version, engine path, fallback reason, request id).
 
 :class:`LineageGraph` assembles records into a DAG and answers the two
 questions the rest of the subsystem is built on:
@@ -43,10 +42,6 @@ LINEAGE_SCHEMA_VERSION = 1
 #: the record kind used for artifacts adopted from pre-provenance
 #: stores: present, addressable, but with no recorded ancestry.
 UNKNOWN_KIND = "unknown-lineage"
-
-#: kinds whose records represent executed work (vs. descriptions).
-DERIVED_KINDS = ("execution", "replay", "trial", "table", "frontier")
-
 
 def canonical(value: Any) -> Any:
     """Reduce a value tree to JSON-stable primitives, deterministically.

@@ -8,12 +8,12 @@ engine disk-cache directory, ``<store>.lineage`` beside an explore
 a torn final line left by a crashed writer is repaired on load and can
 never corrupt the next append (``docs/STORAGE.md``, "Append logs").
 
-:class:`Recorder` is the in-process half: a bounded, thread-safe map
-of the records produced this process, plus thread-local *collection
-scopes* — ``with PROVENANCE.collect() as records:`` captures every
-record produced on this thread inside the block, which is how the
-analysis and serve layers learn which executions a table render or an
-HTTP request actually touched (including cache hits).
+:class:`Recorder` is the in-process half.  It keeps no records: it
+hands each one to the thread-local *collection scopes* active on the
+calling thread — ``with PROVENANCE.collect() as records:`` captures
+every record produced on this thread inside the block, which is how a
+table render or an explore trial learns which executions it actually
+touched (including cache hits) — and to an optional sink.
 """
 
 from __future__ import annotations
@@ -103,100 +103,49 @@ class _ScopeStack(threading.local):
 
 
 class Recorder:
-    """Bounded, thread-safe registry of this process's lineage records."""
+    """Routes lineage records to this thread's collect scopes and to an
+    optional :class:`LineageStore` sink; it keeps no records itself."""
 
-    def __init__(self, capacity: int = 65536) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.evictions = 0
-        self._lock = threading.RLock()
-        self._records: "OrderedDict[str, LineageRecord]" = OrderedDict()
+    def __init__(self) -> None:
         self._scopes = _ScopeStack()
+
+    @property
+    def collecting(self) -> bool:
+        """Whether a collect scope is active on this thread."""
+        return bool(self._scopes.stack)
 
     def record(self, record: LineageRecord,
                sink: Optional[LineageStore] = None) -> LineageRecord:
-        """Merge ``record`` into the registry, deliver it to every
-        collection scope active on this thread, and optionally persist
-        it to ``sink``.  Returns the merged record."""
-        with self._lock:
-            existing = self._records.get(record.digest)
-            if existing is None:
-                merged = record
-            elif existing is record or existing == record:
-                # the common steady-state sighting: identical content —
-                # skip the merge allocation on the engine's hot path
-                merged = existing
-            else:
-                merged = existing.merged(record)
-            self._records[record.digest] = merged
-            self._records.move_to_end(record.digest)
-            while len(self._records) > self.capacity:
-                self._records.popitem(last=False)
-                self.evictions += 1
+        """Deliver ``record`` to every collection scope active on this
+        thread and optionally persist it to ``sink`` (which merges by
+        digest).  Returns ``record``."""
         for bucket, seen in self._scopes.stack:
             if record.digest not in seen:
                 seen.add(record.digest)
-                bucket.append(merged)
+                bucket.append(record)
         if sink is not None:
-            sink.append(merged)
-        return merged
-
-    def record_many(self, records: "list[LineageRecord]",
-                    sink: Optional[LineageStore] = None) -> List[LineageRecord]:
-        return [self.record(record, sink=sink) for record in records]
+            sink.append(record)
+        return record
 
     def record_chain(self, records: "tuple[LineageRecord, ...]",
                      sink: Optional[LineageStore] = None) -> List[LineageRecord]:
-        """Record a whole chain under one lock acquisition.
-
-        Same semantics as calling :meth:`record` per element; the engine
-        uses this for its per-run spec → mdesc → program → execution
-        chain, where four separate lock round-trips would dominate the
-        recording cost.
-        """
-        merged_out: List[LineageRecord] = []
-        with self._lock:
-            get = self._records.get
-            for record in records:
-                existing = get(record.digest)
-                if existing is None:
-                    merged = record
-                elif existing is record or existing == record:
-                    merged = existing
-                else:
-                    merged = existing.merged(record)
-                self._records[record.digest] = merged
-                self._records.move_to_end(record.digest)
-                merged_out.append(merged)
-            while len(self._records) > self.capacity:
-                self._records.popitem(last=False)
-                self.evictions += 1
+        """Record a whole chain: the same as :meth:`record` per element,
+        in one call (the engine's spec → mdesc → program → execution
+        chain)."""
         stack = self._scopes.stack
-        if stack:
-            for record, merged in zip(records, merged_out):
-                for bucket, seen in stack:
-                    if record.digest not in seen:
-                        seen.add(record.digest)
-                        bucket.append(merged)
+        for record in records:
+            for bucket, seen in stack:
+                if record.digest not in seen:
+                    seen.add(record.digest)
+                    bucket.append(record)
         if sink is not None:
-            for merged in merged_out:
-                sink.append(merged)
-        return merged_out
+            for record in records:
+                sink.append(record)
+        return list(records)
 
     def deliver_to_scopes(self, records: "tuple[LineageRecord, ...]") -> None:
-        """Deliver an already-registered chain to this thread's collect
-        scopes without touching the global registry.
-
-        The engine uses this for re-sightings of memoized chains: the
-        registry already holds these exact objects, so the only work a
-        new sighting creates is making them visible to whatever scope
-        (table render, serve flight) is currently collecting — a
-        lock-free, thread-local operation.  The registry is bounded,
-        though: once newer records have evicted any part of the chain,
-        the sighting re-registers the whole chain (:meth:`record_chain`)
-        so that what a scope collects — a served request's roots, say —
-        still resolves in :meth:`get`.
+        """Deliver a chain the engine has already built to this
+        thread's collect scopes.
 
         ``records`` must be a derivation chain whose *last* element's
         digest uniquely identifies the whole chain (the engine's chains
@@ -207,14 +156,6 @@ class Recorder:
         bucket — every consumer merges by digest, and derived-kind
         digests stay unique because they are the dedup key.
         """
-        # Lock-free probes: a membership test is atomic under the GIL,
-        # and a record evicted just after it is no worse off than one
-        # evicted just after a locked re-registration.
-        registered = self._records
-        for record in records:
-            if record.digest not in registered:
-                self.record_chain(records)
-                return
         stack = self._scopes.stack
         if not stack:
             return
@@ -238,30 +179,6 @@ class Recorder:
             yield bucket
         finally:
             self._scopes.stack.pop()
-
-    def get(self, digest: str) -> Optional[LineageRecord]:
-        with self._lock:
-            return self._records.get(digest)
-
-    def records(self) -> List[LineageRecord]:
-        with self._lock:
-            return list(self._records.values())
-
-    def graph(self) -> LineageGraph:
-        return LineageGraph(self.records())
-
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
-            self.evictions = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-    def __contains__(self, digest: str) -> bool:
-        with self._lock:
-            return digest in self._records
 
 
 #: the process-wide recorder every layer writes through.

@@ -332,19 +332,10 @@ def execute_one(item: "Tuple[str, Dict[str, Any]]") -> Dict[str, Any]:
 
     ``run_in_executor`` does not propagate :mod:`contextvars` into pool
     threads, so the request id rides on the item itself; the worker
-    re-enters it before touching the engine.  The pool thread shares
-    the serving process, so the lineage it produces is already in the
-    process-wide recorder; with provenance on, the envelope adds only
-    ``roots``, the digests of the derived work the call touched, for
-    the request's ``serve_request`` record to name.
+    re-enters it before touching the engine, which stamps it on the
+    spans and cache entries the call produces.
     """
-    from repro.provenance import (
-        DERIVED_KINDS,
-        PROV_STATE,
-        PROVENANCE,
-        reset_request_id,
-        set_request_id,
-    )
+    from repro.provenance import reset_request_id, set_request_id
 
     if len(item) == 3:
         name, params, request_id = item
@@ -357,12 +348,6 @@ def execute_one(item: "Tuple[str, Dict[str, Any]]") -> Dict[str, Any]:
                 "message": f"unknown endpoint {name!r}"}
     token = set_request_id(request_id) if request_id is not None else None
     try:
-        if PROV_STATE.enabled:
-            with PROVENANCE.collect() as records:
-                value = endpoint.worker(params)
-            return {"ok": True, "value": value,
-                    "roots": [r.digest for r in records
-                              if r.kind in DERIVED_KINDS]}
         return {"ok": True, "value": endpoint.worker(params)}
     except ServeError as err:
         return {"ok": False, "status": err.status, "code": err.code,

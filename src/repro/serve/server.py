@@ -9,10 +9,9 @@ Two layers:
   the same event-loop turn (:mod:`~repro.serve.batching`) → execute on
   a thread pool through one shared, thread-safe
   :class:`~repro.core.engine.ExperimentEngine` via
-  :meth:`SweepRunner.map`.  Pool threads record lineage straight into
-  the process-wide recorder; a reply carries only the digests of the
-  derived work it touched, which the request's ``serve_request``
-  record links to.  Tests and the load generator drive it directly;
+  :meth:`SweepRunner.map`.  The request id rides to the pool thread,
+  so the engine stamps it on the spans and cache entries the request
+  produces.  Tests and the load generator drive it directly;
   every discipline is observable through ``repro.obs`` (per-endpoint
   latency histograms, queue-depth gauge, coalesce/batch/shed/deadline
   counters, one span per request).
@@ -33,7 +32,6 @@ import asyncio
 import functools
 import json
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
@@ -42,11 +40,7 @@ from repro.core.engine import SweepRunner
 from repro.obs import OBS_STATE as _OBS
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.provenance import (
-    PROV_STATE as _PROV,
-    PROVENANCE,
-    LineageRecord,
     clean_request_id,
-    digest_of,
     new_request_id,
     reset_request_id,
     set_request_id,
@@ -102,10 +96,6 @@ class ServeApp:
         #: perf_counter origin for request spans (serve-local timeline).
         self._epoch = time.perf_counter()
         self._closed = False
-        #: derived-work root digests per coalesce key, so every request
-        #: of a coalesced flight (leader and followers alike) can link
-        #: its serve_request lineage record to the shared computation.
-        self._flight_roots: "OrderedDict[str, Tuple[str, ...]]" = OrderedDict()
         self._preregister_metrics()
 
     # -- metrics/span plumbing ------------------------------------------
@@ -179,51 +169,19 @@ class ServeApp:
                 start_us=(t0 - self._epoch) * 1e6,
                 end_us=(t1 - self._epoch) * 1e6, **attrs)
 
-    def _stash_roots(self, key: str, roots: "Tuple[str, ...]") -> None:
-        self._flight_roots[key] = roots
-        self._flight_roots.move_to_end(key)
-        while len(self._flight_roots) > 1024:
-            self._flight_roots.popitem(last=False)
-
-    def _record_request(self, endpoint_name: str, request_id: Optional[str],
-                        status: int, code: Optional[str],
-                        key: Optional[str]) -> None:
-        """One serve_request lineage record per answered request.
-
-        Success links the request id to the derived-work roots of its
-        (possibly coalesced) flight; refusals — shed (429), draining
-        (503), deadline expired (504), bad request (400) — still leave
-        a stub carrying the id, endpoint and status, so a trace that
-        ends in an error is correlatable end to end.
-        """
-        if not _PROV.enabled or request_id is None:
-            return
-        roots: "Tuple[str, ...]" = ()
-        if key is not None:
-            roots = self._flight_roots.get(key, ())
-        meta: Dict[str, Any] = {"endpoint": endpoint_name, "status": status}
-        if code:
-            meta["code"] = code
-        PROVENANCE.record(LineageRecord(
-            digest=digest_of(["serve-request", request_id]),
-            kind="serve_request", inputs=roots, request_id=request_id,
-            meta=meta))
-
     # -- the request pipeline -------------------------------------------
     async def submit(self, endpoint_name: str, params: Any, *,
                      deadline_ms: Optional[float] = None,
                      request_id: Optional[str] = None) -> Dict[str, Any]:
         """Serve one request; returns the reply payload or raises ServeError.
 
-        ``request_id`` correlates this request's span and lineage
-        records (the HTTP front end passes the validated or generated
-        ``X-Request-Id``); one is generated when absent so direct
-        ``ServeApp`` callers get correlation too.
+        ``request_id`` correlates this request's span and the lineage
+        of the work it produces (the HTTP front end passes the
+        validated or generated ``X-Request-Id``); one is generated when
+        absent so direct ``ServeApp`` callers get correlation too.
         """
         t0 = time.perf_counter()
         status = 500
-        code: Optional[str] = None
-        key: Optional[str] = None
         if request_id is None:
             request_id = new_request_id()
         token = set_request_id(request_id)
@@ -266,10 +224,8 @@ class ServeApp:
             return result
         except ServeError as err:
             status = err.status
-            code = err.code
             raise
         finally:
-            self._record_request(endpoint_name, request_id, status, code, key)
             self._finish_request(endpoint_name, t0, status, request_id)
             reset_request_id(token)
 
@@ -316,11 +272,6 @@ class ServeApp:
                 self._count("serve_executions_total",
                             "unique engine-backed executions performed",
                             endpoint=job.endpoint.name)
-                if _PROV.enabled:
-                    # Remember the flight's derived-work roots before
-                    # the future resolves, so awaiting submitters find
-                    # them in _record_request.
-                    self._stash_roots(job.key, tuple(outcome.get("roots", ())))
                 self._complete(job, result=outcome["value"])
             else:
                 self._complete(job, error=ServeError(

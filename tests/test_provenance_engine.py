@@ -111,6 +111,40 @@ def test_cache_hit_records_in_process_only(tmp_path):
     assert not os.path.exists(os.path.join(cache, "lineage.jsonl"))
 
 
+def test_hit_delivers_lineage_only_to_an_active_scope(monkeypatch):
+    from repro.core.tracing import TraceConfig
+
+    calls = []
+    for name in ("_record_execution", "_record_replay"):
+        original = getattr(ExperimentEngine, name)
+
+        def spy(self, *args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(ExperimentEngine, name, spy)
+    spec = get_arch("cvax")
+    program = build_program()
+    config = TraceConfig(references=997)
+    engine = ExperimentEngine()
+    engine.run(spec, program)
+    engine.replay(spec.tlb, config)
+
+    calls.clear()
+    engine.run(spec, program)
+    engine.replay(spec.tlb, config)
+    assert engine.hits == 2
+    assert calls == []  # no scope is collecting: nothing to deliver to
+
+    with PROVENANCE.collect() as records:
+        engine.run(spec, program)
+        engine.replay(spec.tlb, config)
+    assert calls == ["_record_execution", "_record_replay"]
+    assert [r.kind for r in records] == [
+        "spec", "mdesc", "program", "execution", "tlb", "replay"]
+    assert records[3].digest == experiment_key(spec, program, False)
+
+
 # ----------------------------------------------------------------------
 # seeded staleness: exact-reachability invalidation, this key only
 # ----------------------------------------------------------------------
@@ -185,10 +219,6 @@ def test_legacy_bare_payload_served_as_unknown_lineage(tmp_path):
     # the payload directly, no envelope, no lineage block
     path = entry_path(cache, spec, program)
     dump_entry(path, {"schema": CACHE_SCHEMA_VERSION, "value": expected})
-    # forget the in-process lineage from the recording run, as a fresh
-    # process loading an old cache would have (a known-kind record would
-    # otherwise absorb the unknown-lineage mark on merge)
-    PROVENANCE.clear()
 
     fresh = ExperimentEngine(disk_cache_dir=cache)
     with obs.capture(enable_spans=False):

