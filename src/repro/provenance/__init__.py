@@ -66,11 +66,6 @@ def set_provenance_enabled(on: bool) -> None:
     PROV_STATE.enabled = bool(on)
 
 
-def collect():
-    """Shorthand for ``PROVENANCE.collect()``."""
-    return PROVENANCE.collect()
-
-
 __all__ = [
     "LINEAGE_SCHEMA_VERSION",
     "UNKNOWN_KIND",
@@ -83,7 +78,6 @@ __all__ = [
     "block_status",
     "canonical",
     "clean_request_id",
-    "collect",
     "digest_of",
     "get_request_id",
     "lineage_payload",

@@ -10,9 +10,10 @@ engine's content-addressed memoization: the memo cache deduplicates
 across time, the single-flight table deduplicates across concurrency.
 
 The table is strictly in-flight: an entry is removed the moment its
-flight finishes, so coalescing never serves stale results — a request
-arriving after completion starts a fresh flight (and typically hits
-the engine cache instead).
+flight finishes, so coalescing never serves stale results.  A request
+arriving after completion is answered by the app's answer memo when
+its endpoint is pure and it carries no nonce, and otherwise starts a
+fresh flight (which typically hits the engine cache).
 
 Single-threaded by design: every method runs on the serving event
 loop, so there is no locking here.

@@ -1,8 +1,10 @@
 """Wire protocol of the serving layer: endpoints, validation, errors.
 
-Every request the server accepts is one of a small set of *endpoints*,
-each a pure function of its validated parameters.  The endpoint table
-below carries, per endpoint:
+Every request the server accepts is one of a small set of *endpoints*.
+All but ``explore_frontier`` are pure functions of their validated
+parameters; that one reads a result store whose contents change, and
+its entry says so (``Endpoint.pure``).  The endpoint table below
+carries, per endpoint:
 
 * a **validator** that normalizes a client-supplied JSON object into
   the exact parameter dict the worker accepts, raising a typed
@@ -21,7 +23,8 @@ so a single bad request inside a batch cannot take its neighbours down.
 
 All endpoints accept an optional ``nonce`` parameter: it participates
 in the coalescing key but not in the computation, which lets load
-generators and tests switch request coalescing off per request.
+generators and tests switch request coalescing and the server's answer
+memo off per request.
 """
 
 from __future__ import annotations
@@ -246,7 +249,8 @@ def validate_explore_frontier(params: Any) -> Dict[str, Any]:
 
 def key_explore_frontier(params: Mapping[str, Any]) -> List[Any]:
     # Path-keyed, not content-keyed: coalescing is strictly in-flight
-    # (the entry is dropped the moment the leader finishes), so two
+    # (the entry is dropped the moment the leader finishes) and the
+    # endpoint is not pure, so its answers are never memoized; two
     # concurrent reads of one store share a computation while a later
     # read sees any appended trials.
     return [params["store"], params.get("objectives"), params.get("nonce")]
@@ -296,6 +300,9 @@ class Endpoint:
     validate: Callable[[Any], Dict[str, Any]]
     key_parts: Callable[[Mapping[str, Any]], List[Any]]
     worker: Callable[[Mapping[str, Any]], Dict[str, Any]]
+    #: the answer depends only on the key parts, so the server may keep
+    #: it and reuse it (False for endpoints that read mutable state).
+    pure: bool = True
 
 
 ENDPOINTS: Dict[str, Endpoint] = {
@@ -309,7 +316,7 @@ ENDPOINTS: Dict[str, Endpoint] = {
                  validate_arch_describe, key_arch_describe, work_arch_describe),
         Endpoint("explore_frontier", "/v1/explore/frontier",
                  validate_explore_frontier, key_explore_frontier,
-                 work_explore_frontier),
+                 work_explore_frontier, pure=False),
     )
 }
 
@@ -318,7 +325,8 @@ ROUTES: Dict[str, Endpoint] = {e.path: e for e in ENDPOINTS.values()}
 
 
 def coalesce_key(endpoint: Endpoint, params: Mapping[str, Any]) -> str:
-    """Content address of one request (the in-flight coalescing key)."""
+    """Content address of one request (the in-flight coalescing key,
+    and the server's answer-memo key)."""
     return _digest(["serve", PROTOCOL_VERSION, endpoint.name,
                     endpoint.key_parts(params)])
 

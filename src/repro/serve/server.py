@@ -4,17 +4,20 @@ Two layers:
 
 * :class:`ServeApp` — the transport-free serving core.  ``await
   app.submit(endpoint, params)`` runs the full discipline pipeline:
-  validate → coalesce (:mod:`~repro.serve.coalesce`) → admit
-  (:mod:`~repro.serve.admission`) → group with the jobs admitted in
-  the same event-loop turn (:mod:`~repro.serve.batching`) → execute on
-  a thread pool through one shared, thread-safe
+  validate → answer memo → coalesce (:mod:`~repro.serve.coalesce`) →
+  admit (:mod:`~repro.serve.admission`) → group with the jobs admitted
+  in the same event-loop turn (:mod:`~repro.serve.batching`) → execute
+  on a thread pool through one shared, thread-safe
   :class:`~repro.core.engine.ExperimentEngine` via
-  :meth:`SweepRunner.map`.  The request id rides to the pool thread,
-  so the engine stamps it on the spans and cache entries the request
-  produces.  Tests and the load generator drive it directly;
-  every discipline is observable through ``repro.obs`` (per-endpoint
-  latency histograms, queue-depth gauge, coalesce/batch/shed/deadline
-  counters, one span per request).
+  :meth:`SweepRunner.map`.  A repeated request to a pure endpoint with
+  no ``nonce`` is answered from the app's answer memo, filled by the
+  first execution, and goes no further.  The request id rides to the
+  pool thread, so the engine stamps it on the spans and cache entries
+  the request produces.  Tests and the load generator drive it
+  directly; every discipline is observable through ``repro.obs``
+  (per-endpoint latency histograms, queue-depth gauge,
+  memo-hit/coalesce/batch/shed/deadline counters, one span per
+  request).
 * :class:`HttpServer` — a minimal JSON-over-HTTP/1.1 front end on
   ``asyncio.start_server`` (stdlib only, keep-alive supported) that
   maps routes to endpoints, plus ``GET /healthz`` and ``GET /metrics``
@@ -93,6 +96,14 @@ class ServeApp:
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.workers, thread_name_prefix="serve-worker")
         self._sweep = SweepRunner()
+        #: coalesce key -> answer of a request to a pure endpoint that
+        #: carries no nonce, filled on the event loop from each successful
+        #: execution.  The filling execution passed the engine's lineage
+        #: check; hits do not check again.  Validation admits one key per
+        #: registered architecture for ``measure`` and ``arch_describe``
+        #: and one per table, so the memo holds at most 9 + 7 + 9 = 25
+        #: entries and needs no eviction.
+        self._answers: Dict[str, Dict[str, Any]] = {}
         #: perf_counter origin for request spans (serve-local timeline).
         self._epoch = time.perf_counter()
         self._closed = False
@@ -122,6 +133,12 @@ class ServeApp:
             "to the interpreter")
         for reason in self._FALLBACK_REASONS:
             fallbacks.inc(0, reason=reason)
+        memo_hits = _METRICS.counter(
+            "serve_memo_hits_total",
+            "requests answered from the answer memo, by endpoint")
+        for endpoint in ENDPOINTS.values():
+            if endpoint.pure:
+                memo_hits.inc(0, endpoint=endpoint.name)
         _METRICS.counter(
             "provenance_stale_results_total",
             "cached results re-executed because lineage reachability "
@@ -179,6 +196,15 @@ class ServeApp:
         of the work it produces (the HTTP front end passes the
         validated or generated ``X-Request-Id``); one is generated when
         absent so direct ``ServeApp`` callers get correlation too.
+
+        A repeat of a nonce-free request to a pure endpoint is answered
+        from the answer memo before it joins a flight: no admission
+        slot, batch, pool hop or engine call.  While draining, or once
+        its deadline has passed, it takes the full path instead, which
+        refuses it with the typed 503 or 504.  The memoized dict is
+        shared by every caller that asks the same question, as a
+        coalesced follower shares its leader's result: treat replies as
+        read-only.
         """
         t0 = time.perf_counter()
         status = 500
@@ -193,6 +219,19 @@ class ServeApp:
                     f"{', '.join(sorted(ENDPOINTS))}")
             normalized = endpoint.validate(params)
             key = coalesce_key(endpoint, normalized)
+            if deadline_ms is None:
+                deadline_ms = self.config.default_deadline_ms
+            deadline_t = (t0 + deadline_ms / 1e3
+                          if deadline_ms is not None else None)
+            answer = self._answers.get(key)
+            if (answer is not None and not self.draining
+                    and (deadline_t is None
+                         or time.perf_counter() <= deadline_t)):
+                self._count("serve_memo_hits_total",
+                            "requests answered from the answer memo, "
+                            "by endpoint", endpoint=endpoint_name)
+                status = 200
+                return answer
             future, leader = self.flights.join(key)
             if not leader:
                 self._count("serve_coalesced_total",
@@ -211,13 +250,9 @@ class ServeApp:
                     # in the same instant share the refusal, adding no load.
                     self.flights.finish(key, error=err)
                 if admitted:
-                    deadline_ms = (deadline_ms if deadline_ms is not None
-                                   else self.config.default_deadline_ms)
                     self.batcher.submit(Job(
                         endpoint=endpoint, params=normalized, key=key,
-                        admitted_t=t0,
-                        deadline_t=(t0 + deadline_ms / 1e3
-                                    if deadline_ms is not None else None),
+                        admitted_t=t0, deadline_t=deadline_t,
                         attrs={"request_id": request_id}))
             result = await asyncio.shield(future)
             status = 200
@@ -272,6 +307,8 @@ class ServeApp:
                 self._count("serve_executions_total",
                             "unique engine-backed executions performed",
                             endpoint=job.endpoint.name)
+                if job.endpoint.pure and "nonce" not in job.params:
+                    self._answers[job.key] = outcome["value"]
                 self._complete(job, result=outcome["value"])
             else:
                 self._complete(job, error=ServeError(
@@ -560,8 +597,6 @@ async def serve_forever(config: Optional[ServeConfig] = None) -> None:
     obs.enable_metrics()
     server = HttpServer(config=config)
     host, port = await server.start()
-    print(f"repro.serve listening on http://{host}:{port} "
-          f"(endpoints: {', '.join(sorted(ROUTES))})")
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGINT, signal.SIGTERM):
@@ -569,6 +604,10 @@ async def serve_forever(config: Optional[ServeConfig] = None) -> None:
             loop.add_signal_handler(sig, stop.set)
         except (NotImplementedError, RuntimeError):  # pragma: no cover
             pass
+    # Announce only once the handlers are in: a client that signals on
+    # this line must reach the drain, not the default (killing) action.
+    print(f"repro.serve listening on http://{host}:{port} "
+          f"(endpoints: {', '.join(sorted(ROUTES))})", flush=True)
     try:
         await stop.wait()
     finally:

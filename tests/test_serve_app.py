@@ -6,12 +6,18 @@ own tests in ``test_serve_http.py``.
 """
 
 import asyncio
+import dataclasses
+import random
 
 import pytest
 
 from repro import obs
+from repro.analysis.runner import ALL_TABLE_NUMBERS
+from repro.arch import ALL_ARCH_NAMES
 from repro.serve import ServeApp, ServeConfig, ServeError
+from repro.serve import server as server_module
 from repro.serve.loadgen import WorkerGate, wait_until
+from repro.serve.protocol import ENDPOINTS
 
 
 def run(coro):
@@ -252,3 +258,209 @@ def test_latency_histogram_and_request_counter_record_status():
     assert requests.get("endpoint=table,status=400") == 1
     latency = window["metrics"]["serve_request_latency_ms"]
     assert latency["cells"]["endpoint=measure"]["count"] == 1
+
+
+# ----------------------------------------------------------------------
+# the answer memo
+# ----------------------------------------------------------------------
+
+#: one request per pure endpoint (every endpoint but explore_frontier).
+PURE_REQUESTS = {
+    "measure": {"arch": "r3000"},
+    "table": {"number": 2},
+    "arch_describe": {"name": "sparc"},
+}
+
+
+def distinct_requests():
+    """Every distinct nonce-free request validation admits to a pure
+    endpoint: one per architecture for measure and arch_describe, one
+    per table."""
+    return ([("measure", {"arch": a}) for a in ALL_ARCH_NAMES]
+            + [("table", {"number": n}) for n in ALL_TABLE_NUMBERS]
+            + [("arch_describe", {"name": a}) for a in ALL_ARCH_NAMES])
+
+
+def count_executions(monkeypatch):
+    """Wrap the serving layer's ``execute_one``; returns its call list."""
+    calls = []
+    real = server_module.execute_one
+
+    def counting(item):
+        calls.append(item)
+        return real(item)
+
+    monkeypatch.setattr(server_module, "execute_one", counting)
+    return calls
+
+
+def test_every_pure_endpoint_has_a_memo_test_request():
+    assert set(PURE_REQUESTS) == {
+        name for name, endpoint in ENDPOINTS.items() if endpoint.pure}
+    assert not ENDPOINTS["explore_frontier"].pure
+
+
+@pytest.mark.parametrize("endpoint_name", sorted(PURE_REQUESTS))
+def test_repeated_pure_request_is_answered_from_the_memo(endpoint_name,
+                                                         monkeypatch):
+    calls = count_executions(monkeypatch)
+    params = PURE_REQUESTS[endpoint_name]
+    app = ServeApp()
+
+    async def body(app):
+        first = await app.submit(endpoint_name, dict(params))
+        executed = len(calls)
+        with obs.capture() as capture:
+            repeats = [await app.submit(endpoint_name, dict(params),
+                                        request_id=f"memo-{i}")
+                       for i in range(5)]
+            window = capture.metrics()
+            spans = [s for s in capture.spans if s.category == "request"]
+        return first, executed, repeats, window, spans
+
+    first, executed, repeats, window, spans = run(closed(app, body))
+    assert executed == 1
+    assert all(repeat == first for repeat in repeats)
+    assert len(calls) == 1, "a repeat reached execute_one"
+    assert counter_total(window, "serve_executions_total") == 0
+    assert counter_total(window, "serve_batches_total") == 0
+    assert counter_total(window, "serve_memo_hits_total") == 5
+    # a hit is still a request: counted, timed, and spanned with its id
+    requests = window["metrics"]["serve_requests_total"]["cells"]
+    assert requests == {f"endpoint={endpoint_name},status=200": 5}
+    latency = window["metrics"]["serve_request_latency_ms"]["cells"]
+    assert latency[f"endpoint={endpoint_name}"]["count"] == 5
+    assert sorted(s.attrs["request_id"] for s in spans) == [
+        f"memo-{i}" for i in range(5)]
+    assert all(s.attrs["status"] == 200 for s in spans)
+
+
+def test_nonce_requests_neither_read_nor_fill_the_memo(monkeypatch):
+    calls = count_executions(monkeypatch)
+    app = ServeApp()
+
+    async def body(app):
+        await app.submit("measure", {"arch": "r3000"})
+        with obs.capture(enable_spans=False) as capture:
+            for _ in range(3):
+                await app.submit("measure", {"arch": "r3000", "nonce": 7})
+            return capture.metrics()
+
+    window = run(closed(app, body))
+    assert len(calls) == 4
+    assert counter_total(window, "serve_executions_total") == 3
+    assert counter_total(window, "serve_memo_hits_total") == 0
+    assert len(app._answers) == 1
+
+
+def test_explore_frontier_reads_are_never_memoized(tmp_path):
+    from repro.explore import ObjectiveSchema, ResultStore
+
+    schema = ObjectiveSchema()
+    path = str(tmp_path / "trials.jsonl")
+
+    def append_trial(i):
+        ResultStore(path).put(f"trial-{i}", {
+            "schema_digest": schema.digest,
+            "objectives": {name: float(i + 1) for name in schema.names},
+            "arch_name": f"arch-{i}",
+            "point": {},
+        })
+
+    app = ServeApp()
+
+    async def body(app):
+        append_trial(0)
+        first = await app.submit("explore_frontier", {"store": path})
+        append_trial(1)
+        second = await app.submit("explore_frontier", {"store": path})
+        return first, second
+
+    first, second = run(closed(app, body))
+    assert first["trials"] == 1
+    assert second["trials"] == first["trials"] + 1
+    assert not app._answers
+
+
+def test_failures_are_never_memoized(monkeypatch):
+    endpoint = ENDPOINTS["measure"]
+    failures = [RuntimeError("worker blew up once")]
+
+    def flaky(params):
+        if failures:
+            raise failures.pop()
+        return endpoint.worker(params)
+
+    monkeypatch.setitem(ENDPOINTS, "measure",
+                        dataclasses.replace(endpoint, worker=flaky))
+    app = ServeApp()
+
+    async def body(app):
+        with pytest.raises(ServeError) as failed:
+            await app.submit("measure", {"arch": "r3000"})
+        with obs.capture(enable_spans=False) as capture:
+            retried = await app.submit("measure", {"arch": "r3000"})
+            window = capture.metrics()
+        return failed.value, retried, window
+
+    failed, retried, window = run(closed(app, body))
+    assert failed.status == 500 and failed.code == "internal"
+    assert retried["arch"] == "r3000"
+    assert counter_total(window, "serve_executions_total") == 1
+    assert counter_total(window, "serve_memo_hits_total") == 0
+
+
+def test_warm_key_keeps_the_deadline_and_drain_errors():
+    app = ServeApp()
+
+    async def body(app):
+        await app.submit("measure", {"arch": "r3000"})
+        with obs.capture(enable_spans=False) as capture:
+            with pytest.raises(ServeError) as expired:
+                await app.submit("measure", {"arch": "r3000"},
+                                 deadline_ms=0.0)
+            await app.drain()
+            with pytest.raises(ServeError) as draining:
+                await app.submit("measure", {"arch": "r3000"})
+            window = capture.metrics()
+        return expired.value, draining.value, window
+
+    expired, draining, window = run(closed(app, body))
+    assert expired.status == 504 and expired.code == "deadline_exceeded"
+    assert counter_total(window, "serve_deadline_expired_total") == 1
+    assert draining.status == 503 and draining.code == "draining"
+    assert counter_total(window, "serve_memo_hits_total") == 0
+    assert counter_total(window, "serve_executions_total") == 0
+
+
+def test_warm_key_keeps_the_default_deadline():
+    app = ServeApp(ServeConfig(default_deadline_ms=0.0))
+
+    async def body(app):
+        await app.submit("measure", {"arch": "r3000"}, deadline_ms=60_000)
+        with pytest.raises(ServeError) as expired:
+            await app.submit("measure", {"arch": "r3000"})
+        return expired.value
+
+    assert run(closed(app, body)).status == 504
+
+
+def test_memo_holds_one_entry_per_distinct_request():
+    requests = distinct_requests()
+    assert len(requests) == 25
+    rng = random.Random(21)
+    app = ServeApp()
+
+    async def body(app):
+        for endpoint, params in requests + requests:
+            await app.submit(endpoint, dict(params))
+        for _ in range(100):
+            endpoint, params = rng.choice(requests)
+            await app.submit(endpoint, dict(params))
+
+    with obs.capture(enable_spans=False) as capture:
+        run(closed(app, body))
+        window = capture.metrics()
+    assert len(app._answers) == 25
+    assert counter_total(window, "serve_executions_total") == 25
+    assert counter_total(window, "serve_memo_hits_total") == 125

@@ -7,9 +7,15 @@ happy paths and the typed-error replies.
 
 import asyncio
 import json
+import signal
 
+from repro import obs
+from repro.analysis.runner import ALL_TABLE_NUMBERS
+from repro.arch import ALL_ARCH_NAMES
 from repro.serve import HttpClient, HttpServer, ServeConfig
+from repro.serve import server as server_module
 from repro.serve.loadgen import WorkerGate, wait_until
+from repro.serve.protocol import ENDPOINTS
 
 
 def serve_config(**overrides):
@@ -250,3 +256,64 @@ def test_keep_alive_reuses_one_connection():
     first, second, reused = with_server(body)
     assert first.status == 200 and second.status == 200
     assert reused, "keep-alive connection was not reused"
+
+
+def test_warm_reply_bytes_equal_cold_reply_bytes():
+    requests = ([("measure", {"arch": a}) for a in ALL_ARCH_NAMES]
+                + [("table", {"number": n}) for n in ALL_TABLE_NUMBERS]
+                + [("arch_describe", {"name": a}) for a in ALL_ARCH_NAMES])
+
+    async def body(server, client):
+        async def post(endpoint, params):
+            data = json.dumps(params).encode("utf-8")
+            raw = await raw_exchange(
+                server.host, server.port,
+                (f"POST {ENDPOINTS[endpoint].path} HTTP/1.1\r\nHost: x\r\n"
+                 f"Content-Length: {len(data)}\r\nConnection: close\r\n\r\n"
+                 ).encode("latin-1") + data)
+            head, _, reply = raw.partition(b"\r\n\r\n")
+            return head.split(b"\r\n", 1)[0], reply
+
+        cold = [await post(e, p) for e, p in requests]
+        warm = [await post(e, p) for e, p in requests]
+        return cold, warm
+
+    with obs.capture(enable_spans=False) as capture:
+        cold, warm = with_server(body)
+        hits = capture.metrics()["metrics"]["serve_memo_hits_total"]["cells"]
+    assert len(requests) == 25
+    for request, cold_reply, warm_reply in zip(requests, cold, warm):
+        assert cold_reply[0].endswith(b"200 OK"), request
+        assert warm_reply == cold_reply, request
+    assert sum(hits.values()) == 25
+
+
+def test_serve_forever_handles_sigterm_before_announcing(monkeypatch):
+    """`repro serve run` prints its listening line only once SIGTERM
+    drains it, so a client that signals on that line never meets the
+    default action, which would kill the server undrained."""
+    monkeypatch.setattr(obs.OBS_STATE, "metrics_on", obs.OBS_STATE.metrics_on)
+    default = signal.getsignal(signal.SIGTERM)
+    lines = []
+    handled_when_announced = []
+
+    def signal_if_handled():
+        # never raise SIGTERM while the default (killing) action is in place
+        if signal.getsignal(signal.SIGTERM) is not default:
+            signal.raise_signal(signal.SIGTERM)
+
+    def record(*args, **kwargs):
+        lines.append(" ".join(str(a) for a in args))
+        if "listening on http://" in lines[-1]:
+            handled_when_announced.append(
+                signal.getsignal(signal.SIGTERM) is not default)
+            asyncio.get_running_loop().call_soon(signal_if_handled)
+
+    monkeypatch.setattr(server_module, "print", record, raising=False)
+    try:
+        asyncio.run(asyncio.wait_for(
+            server_module.serve_forever(serve_config()), timeout=60))
+    finally:
+        signal.signal(signal.SIGTERM, default)
+    assert handled_when_announced == [True]
+    assert lines[-1] == "drained; all admitted requests completed."
