@@ -8,9 +8,10 @@ Four timings bracket the engine's value:
   snapshots into ``BENCH_engine.json``);
 * batched replay — the fill-order TLB replay (one dict probe per
   same-page run) against the scalar reference loop;
-* compiled cold grid — the full executor workload of a cold
-  mechanisms-grid sweep through the compiled batch path against the
-  interpreter (the ``compiled_cold_grid`` snapshot number).
+* compiled grid — the full executor workload of a cold
+  mechanisms-grid sweep, job by job through ``run_compiled`` (the
+  engine's cold path) against the interpreter (the
+  ``compiled_*_grid`` snapshot numbers).
 
 Each benchmark also asserts the correctness contract it depends on:
 cached output equals direct output, batched equals scalar, compiled
@@ -97,9 +98,9 @@ def bench_replay_scalar_reference(benchmark, show):
 
 
 def bench_compiled_grid(benchmark, show):
-    """Compiled batch execution of the cold grid; pinned bit-identical."""
+    """Compiled per-job execution of the cold grid; pinned bit-identical."""
     from repro.core.engine import result_to_dict
-    from repro.isa.compiled import run_grid
+    from repro.isa.compiled import run_compiled
     from repro.isa.executor import run_on
 
     jobs = _grid_jobs()
@@ -108,7 +109,10 @@ def bench_compiled_grid(benchmark, show):
         for spec, program, drain in jobs
     ]
 
-    results = benchmark(lambda: run_grid(jobs))
+    results = benchmark(lambda: [
+        run_compiled(spec, program, drain_write_buffer=drain)
+        for spec, program, drain in jobs
+    ])
     assert [result_to_dict(r) for r in results] == reference
     show("Engine: compiled grid sweep",
          f"{len(jobs)} executor jobs over {len({id(s) for s, _, _ in jobs})} "

@@ -71,7 +71,6 @@ def bench_serve_closed_loop(show):
          f"closed: {closed['throughput_rps']} req/s, "
          f"p50 {closed['latency_ms']['p50']} ms, "
          f"p99 {closed['latency_ms']['p99']} ms; "
-         f"coalesce rate {result['coalesce_rate']:.3f}, "
          f"shed rate {result['shed_rate']:.3f}")
     assert result["errors"] == 0, "load run saw unexplained failures"
     assert closed["latency_ms"]["p50"] > 0

@@ -17,11 +17,12 @@ serving scenarios, same shape as ``repro serve bench --out``)::
 
 The JSON is a versioned schema so future PRs can diff trajectories:
 ``timings_ms`` holds best-of-N wall times, ``speedups`` the headline
-ratios (the repo pins ``warm_tables >= 3`` and a 10x floor on
-``compiled_cold_grid``), ``checks`` the correctness cross-checks the
-numbers are only valid under.  Both output files are diffed against
-their previously committed contents, so a PR's perf delta is printed
-by just rerunning the script.
+ratios (the repo pins ``warm_tables >= 3``; CI's engine-bench job gates
+``compiled_steady_grid >= 10`` and ``compiled_cold_grid >= 6``),
+``checks`` the correctness cross-checks the numbers are only valid
+under.  Both output files are diffed against their previously
+committed contents, so a change's perf delta is printed by just
+rerunning the script.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from datetime import datetime, timezone
@@ -37,6 +39,9 @@ from datetime import datetime, timezone
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 SNAPSHOT_SCHEMA_VERSION = 1
+
+#: interleaved interpreter/compiled rounds behind compiled_steady_grid.
+STEADY_ROUNDS = 5
 
 
 def best_of(repeats: int, fn) -> "tuple[float, object]":
@@ -209,15 +214,18 @@ def main(argv=None) -> int:
     # --- compiled executor: cold explore-grid fast path ----------------
     # The gated workload: every executor job a cold sweep of the
     # 96-point mechanisms grid generates (measure_primitives' 12 jobs
-    # per point), run once through the interpreter and once through the
-    # compiled batch path.  Lowering happens during handler synthesis
-    # (once per distinct stream, shared across points) exactly as a
-    # production cold `explore run` pays it; its marginal cost is
-    # measured separately below for transparency.
-    from repro.core.engine import result_to_dict, set_compiled_enabled
+    # per point), run job by job through the interpreter and through
+    # run_compiled, the call the engine makes on each cold key.
+    # Lowering happens during handler synthesis (once per distinct
+    # stream, shared across points) exactly as a production cold
+    # `explore run` pays it; its marginal cost is measured separately
+    # below for transparency.  Cold compares the first pass of each;
+    # one steady pass lasts only tens of ms, so steady is the median
+    # ratio of interleaved interpreter/compiled rounds.
+    from repro.core.engine import result_to_dict
     from repro.core.microbench import measurement_jobs
     from repro.explore.space import mechanisms_space
-    from repro.isa.compiled import _ARTIFACT_ATTR, compile_program, run_grid
+    from repro.isa.compiled import _ARTIFACT_ATTR, compile_program, run_compiled
     from repro.isa.executor import run_on
 
     grid_space = mechanisms_space()
@@ -227,14 +235,26 @@ def main(argv=None) -> int:
         for spec in (grid_space.materialize(point),)
         for program, drain in measurement_jobs(spec)
     ]
-    interp_ms, interp_results = best_of(
-        1, lambda: [run_on(spec, program, drain_write_buffer=drain)
-                    for spec, program, drain in grid_jobs])
+
+    def interpret_grid():
+        return [run_on(spec, program, drain_write_buffer=drain)
+                for spec, program, drain in grid_jobs]
+
+    def compile_grid():
+        return [run_compiled(spec, program, drain_write_buffer=drain)
+                for spec, program, drain in grid_jobs]
+
+    interp_ms, interp_results = best_of(1, interpret_grid)
     timings["compiled_grid_interpreted"] = interp_ms
-    first_ms, grid_results = best_of(1, lambda: run_grid(grid_jobs))
+    first_ms, grid_results = best_of(1, compile_grid)
     timings["compiled_grid_first"] = first_ms
-    steady_ms, steady_results = best_of(repeats, lambda: run_grid(grid_jobs))
-    timings["compiled_grid_steady"] = steady_ms
+    steady_rounds = []
+    for _ in range(STEADY_ROUNDS):
+        round_interp_ms, _ = best_of(1, interpret_grid)
+        round_ms, steady_results = best_of(1, compile_grid)
+        steady_rounds.append((round_interp_ms, round_ms))
+    timings["compiled_grid_steady"] = statistics.median(
+        compiled for _, compiled in steady_rounds)
     checks["compiled_grid_bit_identical"] = (
         len(interp_results) == len(grid_results)
         and all(
@@ -258,22 +278,15 @@ def main(argv=None) -> int:
     # End-to-end cold explore run, both modes, fresh engines each.
     from repro.explore import ExploreRunner, ResultStore
 
-    def cold_explore():
-        set_default_engine(ExperimentEngine())
+    def cold_explore(compiled: bool):
+        set_default_engine(ExperimentEngine(compiled=compiled))
         try:
             return ExploreRunner(mechanisms_space(), store=ResultStore()).run(seed=0)
         finally:
             set_default_engine(previous_engine)
 
-    from repro.core.engine import compiled_enabled
-
-    was_compiled = compiled_enabled()
-    set_compiled_enabled(False)
-    try:
-        explore_interp_ms, explore_interp = best_of(1, cold_explore)
-    finally:
-        set_compiled_enabled(was_compiled)
-    explore_compiled_ms, explore_compiled = best_of(1, cold_explore)
+    explore_interp_ms, explore_interp = best_of(1, lambda: cold_explore(False))
+    explore_compiled_ms, explore_compiled = best_of(1, lambda: cold_explore(True))
     timings["explore_grid_interpreted"] = explore_interp_ms
     timings["explore_grid_compiled"] = explore_compiled_ms
     checks["compiled_explore_identical"] = (
@@ -416,10 +429,8 @@ def main(argv=None) -> int:
                 timings["compiled_grid_interpreted"]
                 / timings["compiled_grid_first"], 2
             ),
-            "compiled_steady_grid": round(
-                timings["compiled_grid_interpreted"]
-                / timings["compiled_grid_steady"], 2
-            ),
+            "compiled_steady_grid": round(statistics.median(
+                interp / compiled for interp, compiled in steady_rounds), 2),
             "compiled_explore_end_to_end": round(
                 timings["explore_grid_interpreted"]
                 / timings["explore_grid_compiled"], 2
@@ -525,14 +536,16 @@ def main(argv=None) -> int:
     if not ok:
         print("FAIL: correctness cross-checks did not hold", file=sys.stderr)
         return 1
-    if snapshot["speedups"]["compiled_cold_grid"] < 10.0:
-        # Advisory here; the hard >=10x gate lives in the CI engine-bench
-        # job against a freshly generated snapshot.
-        print(
-            "WARN: compiled cold-grid speedup at "
-            f"{snapshot['speedups']['compiled_cold_grid']}x (target >= 10x)",
-            file=sys.stderr,
-        )
+    for name, floor in (("compiled_steady_grid", 10.0),
+                        ("compiled_cold_grid", 6.0)):
+        # Advisory here; the hard gates live in the CI engine-bench job
+        # against a freshly generated snapshot.
+        if snapshot["speedups"][name] < floor:
+            print(
+                f"WARN: {name} speedup at {snapshot['speedups'][name]}x "
+                f"(target >= {floor:g}x)",
+                file=sys.stderr,
+            )
     if snapshot["speedups"]["warm_tables"] < 3.0:
         print(
             "WARN: warm-cache table regeneration below the 3x trajectory floor",

@@ -793,8 +793,6 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
         return 2
     worker_env = {"REPRO_CACHE_DIR":
                   args.cache_dir or os.path.join(args.out_dir, "cache")}
-    if args.compiled is not None:
-        worker_env["REPRO_COMPILED"] = "1" if args.compiled else "0"
     try:
         report = run_cluster(
             space, schema, out_dir=args.out_dir, store_path=args.store,
@@ -1018,15 +1016,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="enable the obs metrics registry for the run and print a "
         "Prometheus-format dump after the command",
-    )
-    parser.add_argument(
-        "--compiled",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="force the compiled executor fast path on (--compiled) or "
-        "off (--no-compiled); default follows REPRO_COMPILED (on). The "
-        "interpreter remains the semantic oracle either way — results "
-        "are bit-identical",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -1531,10 +1520,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.compiled is not None:
-        from repro.core.engine import set_compiled_enabled
-
-        set_compiled_enabled(args.compiled)
     if args.metrics:
         from repro import obs
         from repro.obs.export import render_prometheus

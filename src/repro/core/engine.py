@@ -92,20 +92,6 @@ R = TypeVar("R")
 #: with the caller's program name.
 CACHE_SCHEMA_VERSION = 3
 
-#: process-wide default for routing cold executions through the
-#: compiled fast path (:mod:`repro.isa.compiled`).  ``REPRO_COMPILED=0``
-#: in the environment or ``--no-compiled`` on the CLI turns it off; the
-#: interpreter remains the semantic oracle either way (traced runs and
-#: unsupported constructs always fall back to it).
-_COMPILED_ENABLED = os.environ.get(
-    "REPRO_COMPILED", "1").strip().lower() not in ("0", "false", "no", "off")
-
-
-def compiled_enabled() -> bool:
-    """Whether engines without an explicit override use the compiled path."""
-    return _COMPILED_ENABLED
-
-
 def _code_version() -> str:
     """The package version stamped into lineage records (lazy import:
     ``repro/__init__`` imports the measurement layers, so a module-level
@@ -116,12 +102,6 @@ def _code_version() -> str:
         return __version__
     except ImportError:  # pragma: no cover - partial-init edge
         return "unknown"
-
-
-def set_compiled_enabled(on: bool) -> None:
-    """Flip the process-wide compiled-path default (CLI / tests)."""
-    global _COMPILED_ENABLED
-    _COMPILED_ENABLED = bool(on)
 
 
 # ----------------------------------------------------------------------
@@ -482,13 +462,14 @@ class ExperimentEngine:
         runs and trace replays are persisted; ad-hoc ``memo`` values
         are memory-only (their schema is caller-defined).
     compiled:
-        ``True``/``False`` pins this engine to/away from the compiled
-        fast path; ``None`` (default) follows the process-wide
-        :func:`compiled_enabled` switch.
+        ``True`` (default) routes cold executions through the compiled
+        fast path (:mod:`repro.isa.compiled`) where admissible;
+        ``False`` pins this engine to the interpreter, the semantic
+        oracle.
     """
 
     def __init__(self, cache_size: int = 4096, disk_cache_dir: Optional[str] = None,
-                 compiled: Optional[bool] = None) -> None:
+                 compiled: bool = True) -> None:
         #: the unified storage stack (repro.store): a private in-process
         #: memory tier over an optional sharded disk tier shared across
         #: processes.  ``_lru``/``_disk`` stay as direct tier handles.
@@ -535,9 +516,6 @@ class ExperimentEngine:
         #: compiled path was enabled (see :attr:`last_fallback_reason`).
         self.compiled_fallbacks = 0
         self.last_fallback_reason: Optional[str] = None
-
-    def _compiled_active(self) -> bool:
-        return self.compiled if self.compiled is not None else _COMPILED_ENABLED
 
     def _note_fallback(self, arch: ArchSpec, reason: str) -> None:
         with self._lock:
@@ -795,7 +773,7 @@ class ExperimentEngine:
         tracer = _OBS.tracer
         if not tracer.active:
             fallback_reason: Optional[str] = None
-            if self._compiled_active():
+            if self.compiled:
                 try:
                     result = run_compiled(
                         arch, program, drain_write_buffer=drain_write_buffer)
@@ -818,7 +796,7 @@ class ExperimentEngine:
         # instruction-by-instruction walk; the compiled path cannot
         # honor it, so traced runs always fall back.
         fallback_reason = None
-        if self._compiled_active():
+        if self.compiled:
             self._note_fallback(arch, "observer")
             fallback_reason = "observer"
         clock = _OBS.clock

@@ -1,37 +1,37 @@
-"""Compiled fast path: handler streams lowered to cost tables.
+"""Compiled fast path: handler streams lowered to sparse cost rows.
 
 The interpreter (:mod:`repro.isa.executor`) walks a program instruction
 by instruction, charging each record its class cost plus dynamic
 write-buffer stalls.  Every cycle it charges is a *linear* function of
 the cost-model knobs, and the only stateful component — the write
-buffer — admits a closed-form recurrence over the store subsequence.
-This module exploits both facts:
+buffer — is a FIFO recurrence over the store subsequence alone.  This
+module exploits both facts:
 
 * :func:`compile_program` lowers a :class:`~repro.isa.program.Program`
-  once into a :class:`CompiledProgram`: per-phase count matrices over
-  interned *cost keys* ``(opclass, extra_cycles, uncached)``, plus the
-  store skeleton (inter-store gap counts, per-store cost key, static
-  same-page flags).  The artifact is independent of any cost model, so
-  one lowering serves every cost-knob sweep over the same stream; it is
-  cached on the program object and carried across renames (see
+  once into a :class:`CompiledProgram`: per phase, a sparse row of
+  ``(cost key, count)`` pairs over interned *cost keys* ``(opclass,
+  extra_cycles, uncached)``, plus the store skeleton (per store: the
+  non-store work since the previous store as one more sparse row, the
+  store's own cost key, and its static same-page flag).  The artifact
+  is independent of any cost model, so one lowering serves every
+  cost-knob sweep over the same stream; it is cached on the program
+  object and carried across renames (see
   :data:`repro.isa.program.DERIVED_CACHE_ATTRS`).
 * :func:`execute_compiled` evaluates an artifact against one
-  :class:`~repro.arch.specs.ArchSpec`: phase cycles come from one
-  matrix-vector product against the spec's unit-cost table (numpy when
-  available, pure Python otherwise).  Write-buffer retire times use the
-  prefix-max identity ``r = cumsum(c) + running_max(t - cumsum(c)
-  shifted)`` — fully vectorized — and only streams that *actually
-  stall* the buffer drop to an ``O(stores)`` scalar recurrence proved
-  bit-identical to the FIFO simulation.  A branch-free stream with no
-  write buffer reduces to a closed-form polynomial with no loop at all.
+  :class:`~repro.arch.specs.ArchSpec`: a phase's cycles are the sum of
+  ``unit × count`` over its row, with units from the cost model's
+  unit-cost table, and write-buffer stalls come from one pass of the
+  FIFO recurrence over the stores — ``O(keys + stores)`` work per job
+  instead of ``O(instructions)``.
 
 Exactness, not approximation: every quantity the interpreter sums is an
-integral-valued float (cost models are integer cycle counts), so
-regrouped summation is exact and the compiled result is **bit-identical**
-to :meth:`Executor.run` — pinned by ``tests/test_compiled_differential``.
-Anything outside that envelope (an unknown opclass, a fractional cost
-knob) raises :class:`CompiledUnsupported` and the engine falls back to
-the interpreter, counting the fallback.
+integral-valued float below 2⁵³ (cost models are integer cycle counts),
+so regrouped summation is exact and the compiled result is
+**bit-identical** to :meth:`Executor.run` — pinned by
+``tests/test_compiled_differential``.  Anything outside that envelope
+(an unknown opclass, a fractional cost knob) raises
+:class:`CompiledUnsupported` and the engine falls back to the
+interpreter, counting the fallback.
 """
 
 from __future__ import annotations
@@ -45,11 +45,6 @@ from repro.isa.program import Program
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.specs import ArchSpec, CostModel, WriteBufferSpec
-
-try:  # pragma: no cover - exercised implicitly by every test run
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy-less environments
-    _np = None
 
 #: attribute the artifact memoizes under on the Program object
 #: (listed in :data:`repro.isa.program.DERIVED_CACHE_ATTRS` so renamed
@@ -125,80 +120,61 @@ def _unit_cost(key: Tuple[OpClass, int, bool], cost: "CostModel") -> float:
     return cycles
 
 
-class _UnitTable:
-    """Unit costs for one cost model over the interned keys.
-
-    ``values`` is a list extended lazily as new keys are interned;
-    ``array`` mirrors it as a numpy vector, rebuilt only on growth.
-    """
-
-    __slots__ = ("values", "array")
-
-    def __init__(self) -> None:
-        self.values: List[float] = []
-        self.array = None
-
-    def sync(self, cost: "CostModel"):
-        values = self.values
-        grew = False
-        while len(values) < len(_KEYS):
-            unit = _unit_cost(_KEYS[len(values)], cost)
-            if not unit.is_integer():
-                raise CompiledUnsupported(
-                    "fractional_cost",
-                    f"non-integral unit cost {unit} for {_KEYS[len(values)]}")
-            values.append(unit)
-            grew = True
-        if _np is not None and (grew or self.array is None):
-            self.array = _np.asarray(values, dtype=_np.float64)
-        return self
-
-
 #: id(CostModel) -> (weakref guard, unit table).  Identity-keyed like
-#: the engine's spec-fingerprint memo.
-_UNIT_CACHE: Dict[int, "tuple[weakref.ref, _UnitTable]"] = {}
+#: the engine's spec-fingerprint memo.  A unit table lists the unit cost
+#: of every interned key by global key id; it is extended lazily as new
+#: keys are interned.
+_UNIT_CACHE: Dict[int, "tuple[weakref.ref, List[float]]"] = {}
 
 
-def _units_for(cost: "CostModel") -> _UnitTable:
+def _units_for(cost: "CostModel") -> List[float]:
     entry = _UNIT_CACHE.get(id(cost))
     if entry is not None and entry[0]() is cost:
-        return entry[1].sync(cost)
-    table = _UnitTable()
-    if len(_UNIT_CACHE) > 512:
-        for stale in [k for k, (ref, _) in _UNIT_CACHE.items() if ref() is None]:
-            del _UNIT_CACHE[stale]
-    _UNIT_CACHE[id(cost)] = (weakref.ref(cost), table)
-    return table.sync(cost)
+        units = entry[1]
+    else:
+        units = []
+        if len(_UNIT_CACHE) > 512:
+            for stale in [k for k, (ref, _) in _UNIT_CACHE.items() if ref() is None]:
+                del _UNIT_CACHE[stale]
+        _UNIT_CACHE[id(cost)] = (weakref.ref(cost), units)
+    while len(units) < len(_KEYS):
+        unit = _unit_cost(_KEYS[len(units)], cost)
+        if not unit.is_integer():
+            raise CompiledUnsupported(
+                "fractional_cost",
+                f"non-integral unit cost {unit} for {_KEYS[len(units)]}")
+        units.append(unit)
+    return units
 
 
 # ----------------------------------------------------------------------
 # lowering
 # ----------------------------------------------------------------------
 
+#: a sparse count row: one ``(global cost-key id, count)`` pair per key
+#: with a non-zero count.
+Row = Tuple[Tuple[int, int], ...]
+
+
 class CompiledProgram:
-    """One program lowered to count matrices and a store skeleton.
+    """One program lowered to sparse cost rows and a store skeleton.
 
     Cost-model independent; name independent (the program's name is
     stamped at execution time), so renamed clones share one artifact.
-    The tuple fields describe the lowering; the ``_*`` fields hold the
-    numpy-prepared mirrors evaluation indexes into.
     """
 
     __slots__ = (
-        "phases", "phase_instructions", "key_ids", "phase_key_counts",
-        "gap_key_counts", "store_keys", "store_same_page", "store_phases",
-        "total_instructions", "nop_instructions",
-        "_key_vec", "_phase_mat", "_gap_mat", "_store_key_vec", "_same_vec",
-        "_wb_consts", "_phase_pairs",
+        "phases", "phase_instructions", "phase_rows", "gap_rows",
+        "store_keys", "store_same_page", "store_phases",
+        "total_instructions", "nop_instructions", "_phase_pairs",
     )
 
     def __init__(
         self,
         phases: Tuple[str, ...],
         phase_instructions: Tuple[int, ...],
-        key_ids: Tuple[int, ...],
-        phase_key_counts: Tuple[Tuple[int, ...], ...],
-        gap_key_counts: Tuple[Tuple[int, ...], ...],
+        phase_rows: Tuple[Row, ...],
+        gap_rows: Tuple[Row, ...],
         store_keys: Tuple[int, ...],
         store_same_page: Tuple[bool, ...],
         store_phases: Tuple[int, ...],
@@ -209,46 +185,19 @@ class CompiledProgram:
         self.phases = phases
         #: counted instructions per phase (TRAP contributes zero).
         self.phase_instructions = phase_instructions
-        #: local cost-key index -> global index into the intern table.
-        self.key_ids = key_ids
-        #: P x K matrix: instructions of each key in each phase.
-        self.phase_key_counts = phase_key_counts
-        #: (S+1) x K matrix: non-store instructions of each key before
-        #: store i (row S: after the last store).
-        self.gap_key_counts = gap_key_counts
-        #: per-store local key index, in program order.
+        #: per phase: the cost keys of all its instructions.
+        self.phase_rows = phase_rows
+        #: per store: the non-store instructions since the previous store.
+        self.gap_rows = gap_rows
+        #: per store: its global cost-key id, in program order.
         self.store_keys = store_keys
-        #: per-store: same page as the previous store (static property).
+        #: per store: same page as the previous store (static property).
         self.store_same_page = store_same_page
-        #: per-store phase index.
+        #: per store: its phase index.
         self.store_phases = store_phases
         self.total_instructions = total_instructions
         self.nop_instructions = nop_instructions
         self._phase_pairs = tuple(zip(phases, phase_instructions))
-        if _np is not None:
-            self._key_vec = _np.asarray(key_ids, dtype=_np.intp)
-            # reshape keeps the matrix 2-D even for the degenerate empty
-            # program, where asarray(()) would collapse to 1-D and turn
-            # the phase matmul into a scalar.
-            self._phase_mat = _np.asarray(
-                phase_key_counts, dtype=_np.float64,
-            ).reshape(len(phases), len(key_ids))
-            self._gap_mat = (_np.asarray(gap_key_counts, dtype=_np.float64)
-                             if store_keys else None)
-            self._store_key_vec = _np.asarray(store_keys, dtype=_np.intp)
-            self._same_vec = _np.asarray(store_same_page, dtype=bool)
-            #: (same_cost, other_cost) -> (costs, cumsum(costs),
-            #: costs - cumsum(costs)); retire costs depend only on the
-            #: write-buffer spec, not the cost model, so a knob sweep
-            #: reuses them across every cost variant.
-            self._wb_consts: Dict[Tuple[float, float], tuple] = {}
-        else:  # pragma: no cover - numpy-less environments
-            self._key_vec = None
-            self._phase_mat = None
-            self._gap_mat = None
-            self._store_key_vec = None
-            self._same_vec = None
-            self._wb_consts = None
 
     @property
     def store_count(self) -> int:
@@ -259,10 +208,8 @@ def _lower(program: Program) -> CompiledProgram:
     phases: List[str] = []
     phase_index: Dict[str, int] = {}
     phase_instructions: List[int] = []
-    key_local: Dict[int, int] = {}
-    key_ids: List[int] = []
-    phase_rows: List[Dict[int, int]] = []
-    gap_rows: List[Dict[int, int]] = [{}]
+    phase_counts: List[Dict[int, int]] = []
+    gap_counts: List[Dict[int, int]] = []
     store_keys: List[int] = []
     store_same: List[bool] = []
     store_phase: List[int] = []
@@ -271,12 +218,11 @@ def _lower(program: Program) -> CompiledProgram:
     nops = 0
 
     key_index_get = _KEY_INDEX.get
-    key_local_get = key_local.get
     phase_index_get = phase_index.get
     trap = OpClass.TRAP
     nop = OpClass.NOP
     store = OpClass.STORE
-    gap = gap_rows[-1]
+    gap: Dict[int, int] = {}
     for inst in program:
         opclass = inst.opclass
         gid = key_index_get((id(opclass), inst.extra_cycles, inst.uncached))
@@ -287,48 +233,36 @@ def _lower(program: Program) -> CompiledProgram:
                 raise CompiledUnsupported(
                     "opclass", f"cannot lower opclass {opclass!r}")
             gid = _intern_key(opclass, inst.extra_cycles, inst.uncached)
-        lid = key_local_get(gid)
-        if lid is None:
-            lid = len(key_ids)
-            key_local[gid] = lid
-            key_ids.append(gid)
         pid = phase_index_get(inst.phase)
         if pid is None:
             pid = len(phases)
             phase_index[inst.phase] = pid
             phases.append(inst.phase)
             phase_instructions.append(0)
-            phase_rows.append({})
+            phase_counts.append({})
         if opclass is not trap:
             total += 1
             phase_instructions[pid] += 1
             if opclass is nop:
                 nops += 1
-        row = phase_rows[pid]
-        row[lid] = row.get(lid, 0) + 1
+        row = phase_counts[pid]
+        row[gid] = row.get(gid, 0) + 1
         if opclass is store:
             page = inst.mem_page
-            store_keys.append(lid)
+            store_keys.append(gid)
             store_same.append(page is not None and page == prev_store_page)
             store_phase.append(pid)
             prev_store_page = page
+            gap_counts.append(gap)
             gap = {}
-            gap_rows.append(gap)
         else:
-            gap[lid] = gap.get(lid, 0) + 1
-
-    width = len(key_ids)
-
-    def dense(rows: List[Dict[int, int]]) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(
-            tuple(row.get(col, 0) for col in range(width)) for row in rows)
+            gap[gid] = gap.get(gid, 0) + 1
 
     return CompiledProgram(
         phases=tuple(phases),
         phase_instructions=tuple(phase_instructions),
-        key_ids=tuple(key_ids),
-        phase_key_counts=dense(phase_rows),
-        gap_key_counts=dense(gap_rows),
+        phase_rows=tuple(tuple(row.items()) for row in phase_counts),
+        gap_rows=tuple(tuple(row.items()) for row in gap_counts),
         store_keys=tuple(store_keys),
         store_same_page=tuple(store_same),
         store_phases=tuple(store_phase),
@@ -376,103 +310,45 @@ def try_compile(program: Program) -> Optional[CompiledProgram]:
 # evaluation
 # ----------------------------------------------------------------------
 
-def _check_write_buffer(wb: "WriteBufferSpec") -> "tuple[float, float]":
+def _store_terms(
+    compiled: CompiledProgram,
+    wb: "WriteBufferSpec",
+    units: List[float],
+) -> "tuple[List[float], float]":
+    """(per-phase stalls, retire time of the last store).
+
+    The write buffer's FIFO, one step per store: store ``i`` issues at
+    ``now`` (the static cost of everything before it, plus earlier
+    stalls), first waits for store ``i - depth`` to retire if the
+    buffer is full, then retires at ``max(now, r[i-1]) + c_i``.
+    """
     same_cost = float(wb.retire_cycles_same_page)
     other_cost = float(wb.retire_cycles_other_page)
     if not (same_cost.is_integer() and other_cost.is_integer()):
         raise CompiledUnsupported(
             "fractional_write_buffer",
             "non-integral write-buffer retire cycles")
-    return same_cost, other_cost
-
-
-def _store_terms_numpy(
-    compiled: CompiledProgram,
-    wb: "WriteBufferSpec",
-    units_local,
-) -> "tuple[List[float], List[float], float]":
-    """(gap_cycles, per-phase stalls, retire time of the last store).
-
-    Retire times ignoring stalls obey ``r_i = max(t_i, r_{i-1}) + c_i``,
-    i.e. ``r = cumsum(c) + running_max(t - shifted cumsum(c))`` — one
-    vector pass.  A store stalls iff ``r[i-depth] > t_i``; when no store
-    does (checked exactly: all quantities are integral floats), the
-    vectorized result *is* the FIFO simulation's.  Otherwise the scalar
-    recurrence replays the stream with stalls applied.
-    """
-    same_cost, other_cost = _check_write_buffer(wb)
     depth = wb.depth
-    consts = compiled._wb_consts.get((same_cost, other_cost))
-    if consts is None:
-        costs = _np.where(compiled._same_vec, same_cost, other_cost)
-        cumc = costs.cumsum()
-        if len(compiled._wb_consts) > 64:
-            compiled._wb_consts.clear()
-        consts = (costs, cumc, costs - cumc)
-        compiled._wb_consts[(same_cost, other_cost)] = consts
-    costs, cumc, costs_less_cumc = consts
-    gap = compiled._gap_mat @ units_local          # length S+1
-    base = units_local[compiled._store_key_vec]    # store issue costs
-    # issue times with zero stalls: t_i = sum_{j<i}(gap_j + base_j) + gap_i
-    t = (gap[:-1] + base).cumsum()
-    t -= base
-    r = _np.maximum.accumulate(t + costs_less_cumc)
-    r += cumc
-    stalled = r.shape[0] > depth and bool((r[:-depth] > t[depth:]).any())
-    gap_list = gap.tolist()
-    if not stalled:
-        return gap_list, [], float(r[-1]) if r.shape[0] else 0.0
-    # Saturated somewhere: replay with the stall feedback term.
     stalls = [0.0] * len(compiled.phases)
     store_phases = compiled.store_phases
     retire: List[float] = []
     append = retire.append
     now = 0.0
     r_prev = 0.0
-    for i, (gap_i, base_i, cost_i) in enumerate(
-            zip(gap_list, base.tolist(), costs.tolist())):
-        now += gap_i
-        if i >= depth:
-            blocker = retire[i - depth]
-            if blocker > now:
-                stalls[store_phases[i]] += blocker - now
-                now = blocker
-        r_prev = (now if now > r_prev else r_prev) + cost_i
-        append(r_prev)
-        now += base_i
-    return gap_list, stalls, r_prev
-
-
-def _store_terms_python(
-    compiled: CompiledProgram,
-    wb: "WriteBufferSpec",
-    units_local: Sequence[float],
-) -> "tuple[List[float], List[float], float]":
-    """Pure-Python twin of :func:`_store_terms_numpy` (no fast path)."""
-    same_cost, other_cost = _check_write_buffer(wb)
-    depth = wb.depth
-    gap_list = [
-        sum(count * unit for count, unit in zip(row, units_local) if count)
-        for row in compiled.gap_key_counts
-    ]
-    stalls = [0.0] * len(compiled.phases)
-    store_phases = compiled.store_phases
-    retire: List[float] = []
-    append = retire.append
-    now = 0.0
-    r_prev = 0.0
-    for i, lid in enumerate(compiled.store_keys):
-        now += gap_list[i]
+    for i, (gap, key, same) in enumerate(zip(
+            compiled.gap_rows, compiled.store_keys, compiled.store_same_page)):
+        for k, n in gap:
+            now += units[k] * n
         if i >= depth:
             blocker = retire[i - depth]
             if blocker > now:
                 stalls[store_phases[i]] += blocker - now
                 now = blocker
         r_prev = (now if now > r_prev else r_prev) + (
-            same_cost if compiled.store_same_page[i] else other_cost)
+            same_cost if same else other_cost)
         append(r_prev)
-        now += units_local[lid]
-    return gap_list, stalls, r_prev
+        now += units[key]
+    return stalls, r_prev
 
 
 def execute_compiled(
@@ -480,43 +356,22 @@ def execute_compiled(
     arch: "ArchSpec",
     program_name: str,
     drain_write_buffer: bool = False,
-    units: "Optional[_UnitTable]" = None,
 ) -> ExecutionResult:
-    """Evaluate a lowered program against ``arch``.
-
-    ``units`` lets batch callers pass the unit table once per cost
-    model; single-shot callers leave it ``None``.
-    """
-    if units is None:
-        units = _units_for(arch.cost)
-    wb = arch.write_buffer
-    if _np is not None:
-        units_local = units.array[compiled._key_vec]
-        phase_cycles = (compiled._phase_mat @ units_local).tolist()
-    else:  # pragma: no cover - numpy-less environments
-        values = units.values
-        units_local = [values[gid] for gid in compiled.key_ids]
-        phase_cycles = [
-            sum(count * unit for count, unit in zip(row, units_local) if count)
-            for row in compiled.phase_key_counts
-        ]
-
+    """Evaluate a lowered program against ``arch``."""
+    units = _units_for(arch.cost)
+    phase_cycles = [
+        sum([units[k] * n for k, n in row]) for row in compiled.phase_rows]
+    phase_stalls: List[float] = []
     drain = 0.0
+    wb = arch.write_buffer
     if wb is not None and compiled.store_keys:
-        if _np is not None:
-            gap_list, phase_stalls, last_retire = _store_terms_numpy(
-                compiled, wb, units_local)
-        else:  # pragma: no cover - numpy-less environments
-            gap_list, phase_stalls, last_retire = _store_terms_python(
-                compiled, wb, units_local)
+        phase_stalls, last_retire = _store_terms(compiled, wb, units)
         if drain_write_buffer:
             # elapsed cycles = every instruction's static cost plus the
             # stalls; what remains of the last retirement is the drain.
             elapsed = sum(phase_cycles) + sum(phase_stalls)
             if last_retire > elapsed:
                 drain = last_retire - elapsed
-    else:
-        phase_stalls = []
 
     return _build_result(
         compiled, arch, program_name, phase_cycles, phase_stalls, drain)
@@ -533,28 +388,6 @@ def run_compiled(
     compiled = compile_program(program)
     return execute_compiled(
         compiled, arch, program.name, drain_write_buffer=drain_write_buffer)
-
-
-def run_batch(
-    arch: "ArchSpec",
-    jobs: Sequence["tuple[Program, bool]"],
-) -> List[ExecutionResult]:
-    """Execute ``(program, drain)`` jobs on one spec, sharing the unit
-    table across the whole batch."""
-    if not jobs:
-        return []
-    # Lower first: compilation may intern new cost keys, and the unit
-    # table must cover every key the batch will index.
-    lowered = [
-        (compile_program(program), program.name, drain)
-        for program, drain in jobs
-    ]
-    units = _units_for(arch.cost)
-    return [
-        execute_compiled(compiled, arch, name,
-                         drain_write_buffer=drain, units=units)
-        for compiled, name, drain in lowered
-    ]
 
 
 def _build_result(
@@ -593,139 +426,3 @@ def _build_result(
         compiled.nop_instructions,
         by_phase,
     )
-
-
-def _replay_column(
-    compiled: CompiledProgram,
-    depth: int,
-    gap_col: List[float],
-    base_col: List[float],
-    cost_col: List[float],
-) -> "tuple[List[float], float]":
-    """Scalar stall replay for one stalled sweep column."""
-    stalls = [0.0] * len(compiled.phases)
-    store_phases = compiled.store_phases
-    retire: List[float] = []
-    append = retire.append
-    now = 0.0
-    r_prev = 0.0
-    for i, (gap_i, base_i, cost_i) in enumerate(
-            zip(gap_col, base_col, cost_col)):
-        now += gap_i
-        if i >= depth:
-            blocker = retire[i - depth]
-            if blocker > now:
-                stalls[store_phases[i]] += blocker - now
-                now = blocker
-        r_prev = (now if now > r_prev else r_prev) + cost_i
-        append(r_prev)
-        now += base_i
-    return stalls, r_prev
-
-
-def _run_grid_group(
-    compiled: CompiledProgram,
-    cols: "List[tuple[int, ArchSpec, str, bool]]",
-    out: "List[Optional[ExecutionResult]]",
-) -> None:
-    """Evaluate one artifact against every (spec, drain) column at once."""
-    key_vec = compiled._key_vec
-    n_keys = key_vec.shape[0]
-    n_cols = len(cols)
-    units_mat = _np.empty((n_keys, n_cols), dtype=_np.float64)
-    for j, (_, arch, _, _) in enumerate(cols):
-        units_mat[:, j] = _units_for(arch.cost).array[key_vec]
-    phase_mat = compiled._phase_mat @ units_mat            # P x J
-
-    n_stores = compiled.store_count
-    wb_js = [j for j, (_, arch, _, _) in enumerate(cols)
-             if arch.write_buffer is not None] if n_stores else []
-    last_retire = elapsed = None
-    if wb_js:
-        same_costs = _np.empty(n_cols)
-        other_costs = _np.empty(n_cols)
-        depths = [0] * n_cols
-        for j in wb_js:
-            wb = cols[j][1].write_buffer
-            same_costs[j], other_costs[j] = _check_write_buffer(wb)
-            depths[j] = wb.depth
-        gap = compiled._gap_mat @ units_mat                # (S+1) x J
-        base = units_mat[compiled._store_key_vec, :]       # S x J
-        costs = _np.where(compiled._same_vec[:, None], same_costs, other_costs)
-        cumc = costs.cumsum(axis=0)
-        t = (gap[:-1] + base).cumsum(axis=0)
-        t -= base
-        r = _np.maximum.accumulate(t + costs - cumc, axis=0)
-        r += cumc
-        # group the stall check by buffer depth: one vector compare per
-        # distinct depth instead of one per column.
-        stalled_js: List[int] = []
-        by_depth: Dict[int, List[int]] = {}
-        for j in wb_js:
-            by_depth.setdefault(depths[j], []).append(j)
-        for depth, js in by_depth.items():
-            if n_stores <= depth:
-                continue
-            hit = (r[:-depth][:, js] > t[depth:][:, js]).any(axis=0)
-            stalled_js.extend(j for j, h in zip(js, hit.tolist()) if h)
-        replayed: Dict[int, "tuple[List[float], float]"] = {}
-        for j in stalled_js:
-            replayed[j] = _replay_column(
-                compiled, depths[j],
-                gap[:, j].tolist(), base[:, j].tolist(), costs[:, j].tolist())
-        last_retire = r[-1].tolist() if n_stores else None
-        elapsed = phase_mat.sum(axis=0).tolist()
-    else:
-        replayed = {}
-
-    for j, (idx, arch, name, drain_requested) in enumerate(cols):
-        phase_cycles = phase_mat[:, j].tolist()
-        hit = replayed.get(j)
-        stalls = hit[0] if hit is not None else []
-        drain = 0.0
-        if drain_requested and n_stores and arch.write_buffer is not None:
-            if hit is not None:
-                rl = hit[1]
-                end = sum(phase_cycles) + sum(stalls)
-            else:
-                rl = last_retire[j]
-                end = elapsed[j]
-            if rl > end:
-                drain = rl - end
-        out[idx] = _build_result(compiled, arch, name, phase_cycles, stalls, drain)
-
-
-def run_grid(
-    jobs: Sequence["tuple[ArchSpec, Program, bool]"],
-) -> List[ExecutionResult]:
-    """Batch-execute a sweep: ``(spec, program, drain)`` jobs as array ops.
-
-    The sweep transposes the engine's per-job loop: jobs are grouped by
-    compiled artifact (a cost sweep evaluates few distinct streams
-    against many cost models), each group's unit vectors stack into one
-    ``K x J`` matrix, and phase cycles plus the write-buffer recurrence
-    evaluate for every column in single array operations.  Only columns
-    whose buffer actually stalls drop to the scalar replay.  Results
-    are returned in job order and are bit-identical to the interpreter.
-
-    Raises :class:`CompiledUnsupported` if any job falls outside the
-    compiled envelope — callers route such sweeps through the
-    interpreter instead.
-    """
-    if _np is None:  # pragma: no cover - numpy-less environments
-        return [
-            run_compiled(arch, program, drain_write_buffer=drain)
-            for arch, program, drain in jobs
-        ]
-    out: "List[Optional[ExecutionResult]]" = [None] * len(jobs)
-    groups: Dict[int, "tuple[CompiledProgram, list]"] = {}
-    for idx, (arch, program, drain) in enumerate(jobs):
-        compiled = compile_program(program)
-        entry = groups.get(id(compiled))
-        if entry is None:
-            entry = groups[id(compiled)] = (compiled, [])
-        entry[1].append((idx, arch, program.name, drain))
-    # Unit tables must cover every key interned by the lowerings above.
-    for compiled, cols in groups.values():
-        _run_grid_group(compiled, cols, out)
-    return out  # type: ignore[return-value]

@@ -520,8 +520,6 @@ async def scenario_load(requests: int = 64, clients: int = 4,
 
     out = await _with_server(config, body)
     issued = out["closed"]["issued"] + out["open"]["issued"]
-    out["coalesce_rate"] = round(
-        out["metrics"]["serve_coalesced_total"] / issued, 4)
     out["shed_rate"] = round(out["metrics"]["serve_shed_total"] / issued, 4)
     out["errors"] = (issued
                      - out["closed"]["ok"] - out["open"]["ok"]

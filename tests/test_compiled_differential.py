@@ -69,8 +69,8 @@ def _assert_word_counts(program) -> None:
     load_words = program.count(opclass=OpClass.LOAD)
     lowered_loads = sum(
         count
-        for row in artifact.phase_key_counts
-        for key_id, count in zip(artifact.key_ids, row)
+        for row in artifact.phase_rows
+        for key_id, count in row
         if _key_opclass(key_id) is OpClass.LOAD
     )
     assert lowered_loads == load_words
@@ -142,21 +142,3 @@ def test_random_programs_bit_identical(program, arch_name, drain):
     compiled = run_compiled(arch, program, drain_write_buffer=drain)
     assert result_to_dict(compiled) == result_to_dict(interpreted)
 
-
-@settings(max_examples=40, deadline=None)
-@given(
-    program=_PROGRAMS,
-    arch_name=st.sampled_from(ALL_ARCH_NAMES),
-)
-def test_random_programs_batch_matches_single(program, arch_name):
-    """run_batch and run_grid agree with run_compiled job for job."""
-    from repro.isa.compiled import run_batch, run_grid
-
-    arch = get_arch(arch_name)
-    jobs = [(program, False), (program, True)]
-    batch = run_batch(arch, jobs)
-    grid = run_grid([(arch, p, d) for p, d in jobs])
-    for drain, via_batch, via_grid in zip((False, True), batch, grid):
-        single = run_compiled(arch, program, drain_write_buffer=drain)
-        assert result_to_dict(via_batch) == result_to_dict(single)
-        assert result_to_dict(via_grid) == result_to_dict(single)

@@ -27,9 +27,7 @@ from repro.core.engine import ExperimentEngine, result_to_dict
 from repro.isa.compiled import (
     CompiledUnsupported,
     compile_program,
-    run_batch,
     run_compiled,
-    run_grid,
     try_compile,
 )
 from repro.isa.executor import run_on
@@ -272,24 +270,3 @@ def test_artifact_shared_across_renamed_clones():
     clone = program.renamed("r3000:null_syscall#clone")
     assert compile_program(program) is compile_program(clone)
 
-
-def test_batch_and_grid_cover_mixed_archs():
-    """run_grid interleaves specs/programs and keeps job order."""
-    jobs = []
-    for name in ("r3000", "sparc", "cvax"):
-        arch = get_arch(name)
-        for primitive in Primitive:
-            jobs.append((arch, handler_program(arch, primitive),
-                         primitive is Primitive.CONTEXT_SWITCH))
-    results = run_grid(jobs)
-    assert len(results) == len(jobs)
-    for (arch, program, drain), result in zip(jobs, results):
-        reference = run_on(arch, program, drain_write_buffer=drain)
-        assert result_to_dict(result) == result_to_dict(reference)
-        assert result.program_name == program.name
-        assert result.arch_name == arch.name
-
-    arch = get_arch("r3000")
-    batch_jobs = [(handler_program(arch, p), False) for p in Primitive]
-    for result, (program, _) in zip(run_batch(arch, batch_jobs), batch_jobs):
-        assert result_to_dict(result) == result_to_dict(run_on(arch, program))
