@@ -396,8 +396,8 @@ class SweepRunner:
 # every repobench workload each key runs cold once per process, so
 # _BLOCK_MEMO and _RDIGEST_MEMO hit only where one key runs cold in
 # several engines of one process: the workload of the lineage gate
-# (``bench_obs_lineage_overhead``, repeated cold renders through fresh
-# engines, bound 1.02).  With all three disabled, on a 2-vCPU host, the
+# (``scripts/gates.py``, repeated cold renders through fresh engines,
+# bound 1.02).  With all three disabled, on a 2-vCPU host, the
 # median on/off ratio of that workload rose from 1.024 to 1.17 and the
 # gate failed 2 of 4 runs.
 
@@ -453,6 +453,13 @@ class ExperimentEngine:
     cache is never corrupted and callers never block behind another
     thread's simulation.
 
+    Every cold execution tries the compiled fast path
+    (:mod:`repro.isa.compiled`) first and falls back to the interpreter,
+    the semantic oracle, with a counted reason when the path cannot
+    take it (:attr:`compiled_fallbacks`, :attr:`last_fallback_reason`).
+    Differential tests hold the two bit-identical; ``run_on`` and
+    :class:`~repro.isa.executor.Executor` reach the interpreter directly.
+
     Parameters
     ----------
     cache_size:
@@ -461,15 +468,9 @@ class ExperimentEngine:
         Optional directory for the persistent JSON cache.  Executor
         runs and trace replays are persisted; ad-hoc ``memo`` values
         are memory-only (their schema is caller-defined).
-    compiled:
-        ``True`` (default) routes cold executions through the compiled
-        fast path (:mod:`repro.isa.compiled`) where admissible;
-        ``False`` pins this engine to the interpreter, the semantic
-        oracle.
     """
 
-    def __init__(self, cache_size: int = 4096, disk_cache_dir: Optional[str] = None,
-                 compiled: bool = True) -> None:
+    def __init__(self, cache_size: int = 4096, disk_cache_dir: Optional[str] = None) -> None:
         #: the unified storage stack (repro.store): a private in-process
         #: memory tier over an optional sharded disk tier shared across
         #: processes.  ``_lru``/``_disk`` stay as direct tier handles.
@@ -506,14 +507,13 @@ class ExperimentEngine:
         #: cache hits served from pre-provenance entries (no lineage
         #: block): trusted for the value, flagged in the lineage graph.
         self.unknown_lineage = 0
-        self.compiled = compiled
         #: cold lookups that found another process's flight in progress
         #: and blocked on its digest lock instead of re-executing.
         self.flight_waits = 0
         #: cold executions served by the compiled path.
         self.compiled_runs = 0
-        #: cold executions that fell back to the interpreter while the
-        #: compiled path was enabled (see :attr:`last_fallback_reason`).
+        #: cold executions that fell back to the interpreter (see
+        #: :attr:`last_fallback_reason`).
         self.compiled_fallbacks = 0
         self.last_fallback_reason: Optional[str] = None
 
@@ -772,33 +772,28 @@ class ExperimentEngine:
         """
         tracer = _OBS.tracer
         if not tracer.active:
-            fallback_reason: Optional[str] = None
-            if self.compiled:
-                try:
-                    result = run_compiled(
-                        arch, program, drain_write_buffer=drain_write_buffer)
-                except CompiledUnsupported as exc:
-                    self._note_fallback(arch, exc.reason)
-                    fallback_reason = exc.reason
-                else:
-                    with self._lock:
-                        self.compiled_runs += 1
-                    if _OBS.metrics_on:
-                        _METRICS.counter(
-                            "engine_compiled_runs_total",
-                            "cold executions served by the compiled path",
-                        ).inc(arch=arch.name)
-                    return result, "compiled", None
+            try:
+                result = run_compiled(
+                    arch, program, drain_write_buffer=drain_write_buffer)
+            except CompiledUnsupported as exc:
+                self._note_fallback(arch, exc.reason)
+                fallback_reason = exc.reason
+            else:
+                with self._lock:
+                    self.compiled_runs += 1
+                if _OBS.metrics_on:
+                    _METRICS.counter(
+                        "engine_compiled_runs_total",
+                        "cold executions served by the compiled path",
+                    ).inc(arch=arch.name)
+                return result, "compiled", None
             result = Executor(arch).run(
                 program, drain_write_buffer=drain_write_buffer)
             return result, "interpreted", fallback_reason
         # A per-instruction observer needs the interpreter's
         # instruction-by-instruction walk; the compiled path cannot
         # honor it, so traced runs always fall back.
-        fallback_reason = None
-        if self.compiled:
-            self._note_fallback(arch, "observer")
-            fallback_reason = "observer"
+        self._note_fallback(arch, "observer")
         clock = _OBS.clock
         observer = PhaseSpanObserver(
             tracer, clock, arch_name=arch.name, clock_mhz=arch.clock_mhz,
@@ -813,7 +808,7 @@ class ExperimentEngine:
             result = Executor(arch, observer=observer).run(
                 program, drain_write_buffer=drain_write_buffer)
             observer.close()
-        return result, "interpreted", fallback_reason
+        return result, "interpreted", "observer"
 
     # -- trace replays --------------------------------------------------
     def replay(self, tlb_spec: TLBSpec, config: "TraceConfig | None" = None) -> "TraceStats":

@@ -107,7 +107,7 @@ class InstructionObserver:
     ``on_drain`` after an end-of-run write-buffer drain charge.  The
     executor holds at most one observer, and the ``observer is None``
     guard is the instrumented-but-disabled path's entire cost
-    (``benchmarks/bench_obs.py`` pins it under 3%).
+    (the obs gate of ``scripts/gates.py`` pins it under 3%).
     """
 
     def on_instruction(self, inst: Instruction, counted: int,

@@ -15,8 +15,9 @@ over the tree (executor, kernel handlers, engine caches, TLB, first-
 level cache, event log) consult :data:`OBS_STATE` — a slotted object
 whose attribute loads are the entire disabled-path cost — before
 touching the registry, and the process-global :class:`Tracer` is
-inactive until a sink attaches.  ``benchmarks/bench_obs.py`` pins the
-instrumented-but-disabled executor within 3% of an uninstrumented run.
+inactive until a sink attaches.  The obs gate of ``scripts/gates.py``
+pins the instrumented-but-disabled executor within 3% of an
+uninstrumented run.
 
 Typical use::
 

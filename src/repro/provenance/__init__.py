@@ -8,9 +8,10 @@ the measurement context (schema/code version, engine path, fallback
 reason, request id).  See ``docs/PROVENANCE.md`` for the model and
 ``repro lineage --help`` for the CLI.
 
-Recording is on by default.  ``benchmarks/bench_obs.py`` gates its
-cost on cold table renders at 2%, taking the best of up to five
-attempts (``docs/PROVENANCE.md``, "Cost", gives the measured spread).
+Recording is on by default.  The lineage gate of ``scripts/gates.py``
+holds its cost on cold table renders under 2%, taking the best of up
+to five attempts (``docs/PROVENANCE.md``, "Cost", gives the measured
+spread).
 ``REPRO_PROVENANCE=0`` or :func:`set_provenance_enabled` turns it off,
 which also skips the staleness check on cache hits.
 """

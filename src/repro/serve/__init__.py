@@ -21,8 +21,8 @@ The serving disciplines are the point (see ``docs/SERVING.md``):
   — in-flight requests complete, new ones are refused, zero admitted
   requests are silently dropped;
 * a deterministic closed- and open-loop **load generator**
-  (:mod:`~repro.serve.loadgen`) reporting nearest-rank p50/p99
-  latency, throughput, coalesce rate and shed rate.
+  (:mod:`~repro.serve.loadgen`) reporting nearest-rank p50/p90 and
+  max latency, throughput, coalesce rate and shed rate.
 """
 
 from repro.serve.admission import AdmissionController

@@ -18,7 +18,6 @@ from repro.store.maintenance import (
     stat_store,
     verify_store,
 )
-from repro.store.probe import measure_store
 from repro.store.tiers import (
     LOCK_ENV,
     MANIFEST_NAME,
@@ -56,7 +55,6 @@ __all__ = [
     "migrate_store",
     "stat_store",
     "verify_store",
-    "measure_store",
     "preregister_store_metrics",
 ]
 

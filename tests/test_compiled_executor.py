@@ -183,7 +183,7 @@ def test_observer_forces_interpreter_fallback():
     count the fallback rather than silently skip instrumentation."""
     from repro.obs import OBS_STATE, InMemorySink
 
-    engine = ExperimentEngine(compiled=True)
+    engine = ExperimentEngine()
     arch = get_arch("r3000")
     program = handler_program(arch, Primitive.NULL_SYSCALL)
     sink = InMemorySink()
@@ -216,7 +216,7 @@ def test_unknown_opclass_falls_back():
     assert excinfo.value.reason == "opclass"
     assert try_compile(program) is None  # failure is memoized, not retried
 
-    engine = ExperimentEngine(compiled=True)
+    engine = ExperimentEngine()
     arch = get_arch("m68k")
     result = engine.run(arch, program)
     assert engine.compiled_fallbacks == 1
@@ -230,7 +230,7 @@ def test_fractional_cost_model_falls_back():
         arch.cost,
         base_cycles={**arch.cost.base_cycles, OpClass.FP: 1.5}))
     program = _program(Instruction(OpClass.FP, "body"))
-    engine = ExperimentEngine(compiled=True)
+    engine = ExperimentEngine()
     result = engine.run(fractional, program)
     assert engine.compiled_fallbacks == 1
     assert engine.last_fallback_reason == "fractional_cost"
@@ -242,7 +242,7 @@ def test_fractional_write_buffer_falls_back():
     fractional = arch.with_overrides(write_buffer=replace(
         arch.write_buffer, retire_cycles_other_page=2.5))
     program = _program(Instruction(OpClass.STORE, "body", mem_page=0))
-    engine = ExperimentEngine(compiled=True)
+    engine = ExperimentEngine()
     result = engine.run(fractional, program)
     assert engine.compiled_fallbacks == 1
     assert engine.last_fallback_reason == "fractional_write_buffer"
@@ -250,17 +250,14 @@ def test_fractional_write_buffer_falls_back():
 
 
 def test_engine_compiled_toggle():
-    """compiled=False pins the interpreter; compiled=True counts runs."""
+    """A cold admissible run takes the compiled path and is counted."""
     arch = get_arch("r3000")
     program = handler_program(arch, Primitive.NULL_SYSCALL)
 
-    off = ExperimentEngine(compiled=False)
-    on = ExperimentEngine(compiled=True)
-    off_result = off.run(arch, program)
-    on_result = on.run(arch, program)
-    assert off.compiled_runs == 0 and off.compiled_fallbacks == 0
-    assert on.compiled_runs == 1
-    assert result_to_dict(off_result) == result_to_dict(on_result)
+    engine = ExperimentEngine()
+    result = engine.run(arch, program)
+    assert engine.compiled_runs == 1 and engine.compiled_fallbacks == 0
+    assert result_to_dict(result) == result_to_dict(run_on(arch, program))
 
 
 def test_artifact_shared_across_renamed_clones():

@@ -196,6 +196,7 @@ def test_sweeprunner_starts_at_most_one_worker_per_item(monkeypatch):
 def test_render_all_memoizes_under_one_engine():
     engine = ExperimentEngine()
     first = runner.render_all(engine=engine)
+    assert list(first) == list(runner.ALL_TABLE_NUMBERS)
     hits_before = engine.hits
     second = runner.render_all(engine=engine)
     assert second == first

@@ -56,6 +56,8 @@ def test_store_resume_skips_evaluation(fresh_engine):
     assert all(t.source == "store" for t in second.trials)
     assert ([t.objectives for t in second.trials]
             == [t.objectives for t in first.trials])
+    assert ([t.spec_fingerprint for t in second.frontier()]
+            == [t.spec_fingerprint for t in first.frontier()])
 
 
 def test_no_resume_reevaluates(fresh_engine):
@@ -69,10 +71,12 @@ def test_no_resume_reevaluates(fresh_engine):
 
 def test_warm_engine_hit_rate_exceeds_half(fresh_engine):
     """The acceptance floor: a re-searched space reuses the engine cache."""
-    _run(store=ResultStore())
+    first = _run(store=ResultStore())
     second = _run(store=ResultStore())
     assert second.stats.engine_hit_rate > 0.5
     assert second.stats.reuse_rate > 0.5
+    assert ([t.spec_fingerprint for t in second.frontier()]
+            == [t.spec_fingerprint for t in first.frontier()])
 
 
 def test_budget_truncates_trials(fresh_engine):

@@ -41,10 +41,20 @@ def test_latency_summary_shape():
     summary = latency_summary([1.0, 2.0, 3.0, 4.0])
     assert summary["count"] == 4
     assert summary["p50"] == 2.0
-    assert summary["p99"] == 4.0
     assert summary["mean"] == 2.5
     assert summary["max"] == 4.0
     assert latency_summary([]) == {"count": 0}
+
+
+def test_latency_summary_reports_max_not_p99():
+    """Below 100 samples the nearest-rank p99 is the max, so the summary
+    names it ``max`` and has no ``p99`` key."""
+    samples = [float((i * 37) % 64) + 0.5 for i in range(64)]
+    summary = latency_summary(samples)
+    assert summary["count"] == 64
+    assert "p99" not in summary
+    assert summary["max"] == max(samples) == 63.5
+    assert quantile(samples, 0.99) == summary["max"]
 
 
 # -- request mix --------------------------------------------------------
@@ -80,10 +90,12 @@ def test_run_bench_quick_passes_all_checks(tmp_path):
     coalesce = snapshot["scenarios"]["coalesce"]
     assert coalesce["executions"] == 1
     assert coalesce["coalesced"] == coalesce["requests"] - 1
+    assert coalesce["ok"] == coalesce["requests"]
+    assert snapshot["scenarios"]["shed"]["unanswered"] == 0
 
     load = snapshot["scenarios"]["load"]
     assert load["errors"] == 0
-    assert load["closed"]["latency_ms"]["p99"] >= \
+    assert load["closed"]["latency_ms"]["max"] >= \
         load["closed"]["latency_ms"]["p50"]
 
     out = tmp_path / "BENCH_serve.json"

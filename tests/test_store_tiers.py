@@ -204,3 +204,43 @@ def test_engine_lru_is_the_store_lru():
 
     assert EngineLRU is LRUCache
     assert issubclass(MemoryTier, LRUCache)
+
+
+# ----------------------------------------------------------------------
+# the engine over the tiers
+# ----------------------------------------------------------------------
+
+def test_engine_tier_phases_answer_identically(tmp_path):
+    """Cold populate, disk rehydrate and memory steady give one answer.
+
+    The cross-primitive matrix on two architectures: a fresh engine on
+    an empty directory executes everything; a fresh engine on the warm
+    directory serves every run from the disk tier; the same engine
+    then serves every run from its memory tier.
+    """
+    from repro.arch import get_arch
+    from repro.core.engine import ExperimentEngine, result_digest, result_to_dict
+    from repro.kernel.handlers import handler_program
+    from repro.kernel.primitives import Primitive
+
+    jobs = [(get_arch(name), primitive)
+            for name in ("r3000", "cvax") for primitive in Primitive]
+    cache = str(tmp_path / "cache")
+
+    def run_matrix(engine):
+        return [result_digest(result_to_dict(
+                    engine.run(arch, handler_program(arch, primitive))))
+                for arch, primitive in jobs]
+
+    cold = run_matrix(ExperimentEngine(disk_cache_dir=cache))
+    engine = ExperimentEngine(disk_cache_dir=cache)
+    with obs.capture(enable_spans=False) as window:
+        rehydrated = run_matrix(engine)
+    disk_hits = window.metrics()["metrics"]["store_hit_total"]["cells"]
+    with obs.capture(enable_spans=False) as window:
+        steady = run_matrix(engine)
+    memory_hits = window.metrics()["metrics"]["store_hit_total"]["cells"]
+
+    assert cold == rehydrated == steady
+    assert disk_hits.get("tier=disk") == len(jobs)
+    assert memory_hits.get("tier=memory") == len(jobs)
